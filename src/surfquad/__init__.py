@@ -11,17 +11,16 @@ from .errors import (ClampedMassWarning, DegeneratePairError, IllPosedSystemErro
                      NegativeWeightError, SelfIntersectionError, SingularEvaluationError,
                      SurfquadError)
 from .geometry import (FramedSample, OrientedSample, PointCloud, SurfaceKind,
-                       SurfaceSpec, gen_circle_r3, gen_ellipsoid,
-                       gen_fibonacci_sphere, gen_hemisphere, gen_sphere_nd,
-                       interior_queries, median_nn_spacing)
+                       SurfaceSpec, circle_r3_spec, ellipsoid_spec, gen_circle_r3,
+                       gen_ellipsoid, gen_fibonacci_sphere, gen_hemisphere,
+                       gen_sphere_nd, hemisphere_spec, interior_queries,
+                       median_nn_spacing, s2_cap_spec, sphere_spec)
 from .kernel import (KernelConfig, double_layer_row, fundamental_solution,
                      unit_sphere_measure)
 from .pipelines import (CollarSolution, solve_closed_scalar, solve_closed_vector,
                         solve_collar, solve_manifold_boundary, solve_tube)
-from .riemannian import (ManifoldBoundarySample, ManifoldModel, SphereModel,
-                         assemble_riemann_system, cap_boundary_sample,
-                         continuous_cap_indicator, integrate_on_manifold_boundary,
-                         s2_green_gradient)
+from .riemannian import (ManifoldBoundarySample, SphereModel, assemble_riemann_system,
+                         cap_boundary_sample, continuous_cap_indicator, s2_green_gradient)
 from .solver import (IndicatorSystem, NegativeWeightPolicy, RhsMode, SolverConfig,
                      SystemLayout, WeightSolution, assemble_scalar_system,
                      assemble_vector_system, evaluate_indicator, indicator_values,

@@ -2,25 +2,27 @@
 
 Subcommands: generate | weights | integrate | indicator | study. Every
 command is deterministic given its flags; all randomness flows through the
-seeds named in them.
+seeds named in them. Each construction is wired once, as one row of
+``_PIPELINES``, and every subcommand runs through that row.
 """
 
 import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import textio
 from .collar import CollarConfig, build_collar, default_epsilon, integrate_with_boundary
 from .errors import SurfquadError
-from .geometry import (INTEGRANDS, OrientedSample, PointCloud, evaluate_integrand,
-                       gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere,
-                       gen_hemisphere, gen_sphere_nd, interior_queries,
-                       median_nn_spacing, circle_r3_spec, ellipsoid_spec,
-                       hemisphere_spec, s2_cap_spec, sphere_spec)
+from .geometry import (INTEGRANDS, OrientedSample, PointCloud, circle_r3_spec,
+                       ellipsoid_spec, evaluate_integrand, gen_circle_r3, gen_ellipsoid,
+                       gen_fibonacci_sphere, gen_hemisphere, gen_sphere_nd,
+                       hemisphere_spec, interior_queries, median_nn_spacing,
+                       s2_cap_spec, sphere_spec)
 from .kernel import KernelConfig
 from .pipelines import (solve_closed_scalar, solve_closed_vector, solve_collar,
                         solve_manifold_boundary, solve_tube)
@@ -30,9 +32,6 @@ from .solver import (NegativeWeightPolicy, RhsMode, SolveDiagnostics, SolverConf
                      WeightSolution, indicator_values)
 from .tube import build_tube, integrate_codim, sample_normal_sphere
 
-FIXTURES = ("sphere", "sphere-nd", "ellipsoid", "hemisphere", "circle-r3", "s2-cap")
-PIPELINES = ("closed", "collar", "tube", "s2-cap")
-
 _POLICIES = {
     "keep": NegativeWeightPolicy.KEEP,
     "clamp": NegativeWeightPolicy.CLAMP_TO_ZERO,
@@ -41,102 +40,242 @@ _POLICIES = {
 _RHS_MODES = {"half": RhsMode.ON_SURFACE_HALF, "one": RhsMode.INTERIOR_ONE}
 
 
-@dataclass
-class RunConfig:
-    """Everything one command invocation needs, collected from its flags."""
-
-    command: str
-    fixture: str | None = None
-    sample_path: str | None = None
-    weights_path: str | None = None
-    queries_path: str | None = None
-    output: str | None = None
-    count: int = 0
-    seed: int = 0
-    dim: int = 3
-    radii: tuple = (1.0, 1.0, 1.0)
-    alpha: float = np.pi / 3
-    softening: float = 0.0
-    regularization: float | None = None
-    rhs_mode: RhsMode = RhsMode.INTERIOR_ONE
-    policy: NegativeWeightPolicy | None = None
-    epsilon: float | None = None
-    q_directions: int = 16
-    query_count: int | None = None
-    query_seed: int = 1
-    margin: float | None = None
-    mode: str = "scalar"
-    integrand: str = "const1"
-    sizes: list = field(default_factory=list)
+def _read_cap(path) -> ManifoldBoundarySample:
+    sample = textio.read_oriented(path)
+    return ManifoldBoundarySample(sample.cloud, sample.normals)
 
 
-def _fixture_spec(cfg: RunConfig):
-    name = cfg.fixture
-    if name in ("sphere", "sphere-nd"):
-        return sphere_spec()
-    if name == "ellipsoid":
-        return ellipsoid_spec(*cfg.radii)
-    if name == "hemisphere":
-        return hemisphere_spec()
-    if name == "circle-r3":
-        return circle_r3_spec()
-    if name == "s2-cap":
-        return s2_cap_spec(cfg.alpha)
-    raise SurfquadError(f"unknown fixture {name!r}")
+def _write_cap(path, sample: ManifoldBoundarySample):
+    textio.write_oriented(path, OrientedSample(sample.cloud, sample.conormals),
+                          extra="manifold=s2")
 
 
-def _generate_sample(cfg: RunConfig):
-    if cfg.fixture == "sphere":
-        return gen_fibonacci_sphere(cfg.count)
-    if cfg.fixture == "sphere-nd":
-        return gen_sphere_nd(cfg.count, cfg.dim, cfg.seed)
-    if cfg.fixture == "ellipsoid":
-        return gen_ellipsoid(*cfg.radii, cfg.count, cfg.seed)
-    if cfg.fixture == "hemisphere":
-        return gen_hemisphere(cfg.count)
-    if cfg.fixture == "circle-r3":
-        return gen_circle_r3(cfg.count)
-    if cfg.fixture == "s2-cap":
-        return cap_boundary_sample(cfg.alpha, cfg.count)
-    raise SurfquadError(f"unknown fixture {cfg.fixture!r}")
+def _build_tube(base, eps, args):
+    if base.codim == 2 and args.q_directions < 8:
+        raise SurfquadError("codimension-2 tubes need at least 8 directions "
+                            "to keep the slice system conditioned")
+    return build_tube(base, sample_normal_sphere(base.codim, args.q_directions, eps))
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    sample = _generate_sample(cfg)
-    cloud = sample.cloud
-    if cfg.fixture == "circle-r3":
-        textio.write_framed(cfg.output, sample)
-    elif cfg.fixture == "s2-cap":
-        textio.write_oriented(cfg.output, OrientedSample(sample.cloud, sample.conormals),
-                              extra="manifold=s2")
-    else:
-        textio.write_oriented(cfg.output, sample)
-    h = median_nn_spacing(cloud) if len(cloud) > 1 else float("nan")
-    print(f"wrote {len(cloud)} points to {cfg.output} (median spacing h={h:.6g})")
-    if cfg.queries_path:
-        spec = _fixture_spec(cfg)
-        eps = cfg.epsilon
-        if eps is None and cfg.fixture in ("hemisphere", "circle-r3"):
-            eps = 2.0 * h
-        queries = interior_queries(spec, cfg.query_count or cfg.count, cfg.query_seed,
-                                   margin=cfg.margin, epsilon=eps)
-        textio.write_cloud(cfg.queries_path, queries)
-        print(f"wrote {len(queries)} interior queries to {cfg.queries_path}")
-    return 0
-
-
-def _solver_config(cfg: RunConfig, default_policy=NegativeWeightPolicy.CLAMP_TO_ZERO):
-    return SolverConfig(regularization=cfg.regularization, rhs_mode=cfg.rhs_mode,
-                        negative_weight_policy=cfg.policy or default_policy)
-
-
-def _load_queries(cfg: RunConfig, spec, epsilon, default_count=300):
-    if cfg.queries_path:
-        return textio.read_cloud(cfg.queries_path)
+def _interior(spec, count, seed, eps, margin, args) -> PointCloud:
+    if args.queries_path:
+        return textio.read_cloud(args.queries_path)
     if spec is None:
         raise SurfquadError("need --queries or --fixture to produce interior queries")
-    return interior_queries(spec, cfg.query_count or default_count, cfg.query_seed,
-                            margin=cfg.margin, epsilon=epsilon)
+    return interior_queries(spec, count, seed, margin=margin, epsilon=eps)
+
+
+def _cap_queries(spec, count, seed, eps, margin, args):
+    return (cap_query_points(args.alpha, count, seed, side="interior"),
+            cap_query_points(args.alpha, count, seed + 1, side="exterior"))
+
+
+def _solve_closed(sample, queries, args, config):
+    kc = KernelConfig(sample.dim, args.softening)
+    if args.mode == "vector":
+        sol = solve_closed_vector(sample.cloud, queries, kc, config)
+        return sol, sample.points, sol.mu / np.maximum(sol.tau[:, None], 1e-300)
+    return solve_closed_scalar(sample, queries, kc, config), sample.points, sample.normals
+
+
+def _solve_collar(collar, queries, args, config):
+    outward = collar.outward()
+    cs = solve_collar(collar, queries, KernelConfig(outward.dim, args.softening), config)
+    return cs.solution, outward.points, outward.normals
+
+
+def _solve_tube(tube, queries, args, config):
+    b = tube.boundary
+    sol = solve_tube(tube, queries, KernelConfig(b.dim, args.softening), config)
+    return sol, b.points, b.normals
+
+
+def _solve_cap(sample, queries, args, config):
+    return (solve_manifold_boundary(sample, SphereModel(), *queries, config),
+            sample.points, sample.conormals)
+
+
+def _closed_domain(record, sample) -> np.ndarray:
+    if len(record.tau) != len(sample):
+        raise SurfquadError("weight file does not match the sample")
+    return sample.points
+
+
+def _collar_domain(record, sample) -> np.ndarray:
+    if len(record.tau) != 2 * len(sample):
+        raise SurfquadError("weight file does not match a collar over the sample")
+    return record.points[:len(sample)]
+
+
+def _tube_domain(record, base) -> np.ndarray:
+    q, eps = int(record.meta["q"]), float(record.meta["eps"])
+    if len(record.tau) != q * len(base):
+        raise SurfquadError("weight file does not match the tube of the sample")
+    # boundary point = base + eps * slice normal, base-point-major order
+    return (record.points - eps * record.normals)[::q]
+
+
+def _weighted_sum(f, tau, meta) -> float:
+    # f = None integrates 1: the sum of elements that `weights` prints
+    return float(tau.sum()) if f is None else float(np.dot(f, tau))
+
+
+def _half_sum(f, tau, meta) -> float:
+    n = len(tau) // 2
+    return integrate_with_boundary(np.ones(n) if f is None else f, tau[:n], tau[n:])
+
+
+def _tube_total(f, tau, meta) -> float:
+    q = int(meta["q"])
+    dirs = sample_normal_sphere(int(meta["r"]), q, float(meta["eps"]))
+    return integrate_codim(np.ones(len(tau) // q) if f is None else f, tau, dirs)
+
+
+def _euclidean_indicator(record, queries, args) -> np.ndarray:
+    sol = WeightSolution(mu=record.tau[:, None] * record.normals, tau=record.tau,
+                         residual_norm=0.0,
+                         diagnostics=SolveDiagnostics(0, len(record.tau), 0.0, 0),
+                         offset=record.offset)
+    kc = KernelConfig(queries.dim, args.softening)
+    return indicator_values(queries, PointCloud(record.points), sol, kc)
+
+
+def _cap_indicator(record, queries, args) -> np.ndarray:
+    """-sum_j g(grad G(p, q_j), N_j) tau_j + c on the sphere."""
+    chi = SphereModel().double_layer(queries.points, record.points, record.normals, record.tau)
+    return chi if record.offset is None else chi + record.offset
+
+
+@dataclass(frozen=True)
+class _Fixture:
+    """A synthetic sample of one construction, with its reference values."""
+
+    pipeline: str
+    generate: Callable     # (args, count) -> sample
+    spec: Callable         # args -> SurfaceSpec
+
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """One construction, from its sample file to its summation rule.
+
+    The defaults wire a closed hypersurface; a row names what differs.
+    """
+
+    solve: Callable        # (built, queries, args, config) -> (solution, points, normals)
+    query_count: Callable  # (sample, args) -> default number of queries
+    read: Callable = textio.read_oriented           # sample file -> sample
+    write: Callable = textio.write_oriented         # (path, sample) -> None
+    epsilon: Callable = lambda sample, args: None   # thickness of the solid, if any
+    build: Callable = lambda sample, eps, args: sample  # -> what the solve takes
+    queries: Callable = _interior   # (spec, count, seed, eps, margin, args) -> queries
+    tag: Callable = lambda built, eps: ""           # weight-file header tags
+    domain: Callable = _closed_domain  # (weight record, sample) -> integrand points
+    total: Callable = _weighted_sum    # (f at domain points or None for 1, tau, meta) -> integral
+    indicator: Callable = _euclidean_indicator      # (weight record, queries, args)
+    policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
+    note: str = ""         # extra `weights` report line, formatted with eps
+    # `study` defaults where they differ from `weights`
+    study_query_count: int | None = None
+    study_margin: float | None = None
+
+
+_PIPELINES = {
+    "closed": _Pipeline(
+        solve=_solve_closed,
+        query_count=lambda s, a: (s.dim if a.mode == "vector" else 2) * len(s),
+        # closer queries than the deep-interior default: the study should
+        # expose the resolution-limited error, not the machine floor
+        study_query_count=300, study_margin=0.3),
+    "collar": _Pipeline(
+        solve=_solve_collar,
+        # one row per front point: thin-shell rows beyond that mostly add
+        # near-field noise rather than information
+        query_count=lambda s, a: len(s),
+        epsilon=lambda s, a: a.epsilon or default_epsilon(s),
+        build=lambda s, eps, a: build_collar(s, CollarConfig(eps)),
+        tag=lambda collar, eps: f"collar eps={eps:.17g}",
+        domain=_collar_domain,
+        total=_half_sum,
+        # sign-flip noise between the near-antiparallel faces is orientation
+        # noise, not scale noise: keep magnitudes by default
+        policy=NegativeWeightPolicy.KEEP,
+        note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
+    "tube": _Pipeline(
+        solve=_solve_tube, query_count=lambda s, a: 2 * len(s),
+        read=textio.read_framed, write=textio.write_framed,
+        epsilon=lambda s, a: a.epsilon or 2.0 * median_nn_spacing(s.cloud),
+        build=_build_tube,
+        tag=lambda tube, eps: (f"tube r={tube.directions.codim} q={tube.directions.count} "
+                               f"eps={eps:.17g}"),
+        domain=_tube_domain, total=_tube_total),
+    "s2-cap": _Pipeline(
+        solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap, write=_write_cap,
+        queries=_cap_queries, tag=lambda built, eps: "manifold=s2", indicator=_cap_indicator),
+}
+
+_FIXTURES = {
+    "sphere": _Fixture("closed", lambda a, n: gen_fibonacci_sphere(n), lambda a: sphere_spec()),
+    "sphere-nd": _Fixture("closed", lambda a, n: gen_sphere_nd(n, a.dim, a.seed),
+                          lambda a: sphere_spec()),
+    "ellipsoid": _Fixture("closed", lambda a, n: gen_ellipsoid(a.a, a.b, a.c, n, a.seed),
+                          lambda a: ellipsoid_spec(a.a, a.b, a.c)),
+    "hemisphere": _Fixture("collar", lambda a, n: gen_hemisphere(n),
+                           lambda a: hemisphere_spec()),
+    "circle-r3": _Fixture("tube", lambda a, n: gen_circle_r3(n), lambda a: circle_r3_spec()),
+    "s2-cap": _Fixture("s2-cap", lambda a, n: cap_boundary_sample(a.alpha, n),
+                       lambda a: s2_cap_spec(a.alpha)),
+}
+FIXTURES = tuple(_FIXTURES)
+PIPELINES = tuple(_PIPELINES)
+STUDY_HEADER = ["N", "eps", "lambda", "residual", "integral", "ref", "rel_err", "seconds"]
+
+
+def _spec(args):
+    return _FIXTURES[args.fixture].spec(args) if args.fixture else None
+
+
+def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
+    """eps -> solid -> queries -> solve, the chain `weights` and `study` share."""
+    eps = row.epsilon(sample, args)
+    built = row.build(sample, eps, args)
+    count = args.query_count or (study and row.study_query_count) or row.query_count(sample, args)
+    margin = row.study_margin if study and args.margin is None else args.margin
+    queries = row.queries(spec, count, seed, eps, margin, args)
+    config = SolverConfig(regularization=args.regularization, rhs_mode=_RHS_MODES[args.rhs_mode],
+                          negative_weight_policy=_POLICIES.get(args.policy, row.policy))
+    return (eps, built, *row.solve(built, queries, args, config))
+
+
+def _pipeline_of(record: textio.WeightRecord) -> _Pipeline:
+    """The row that wrote a weight file, read off its header tags."""
+    for name in ("tube", "collar"):
+        if name in record.flags:
+            return _PIPELINES[name]
+    return _PIPELINES["s2-cap" if record.meta.get("manifold") == "s2" else "closed"]
+
+
+def _header_meta(tag: str) -> dict:
+    return dict(token.split("=", 1) for token in tag.split() if "=" in token)
+
+
+def cmd_generate(args) -> int:
+    if args.fixture is None:
+        raise SurfquadError("generate needs --fixture")
+    fixture = _FIXTURES[args.fixture]
+    row = _PIPELINES[fixture.pipeline]
+    sample = fixture.generate(args, args.count)
+    row.write(args.output, sample)
+    cloud = sample.cloud
+    h = median_nn_spacing(cloud) if len(cloud) > 1 else float("nan")
+    print(f"wrote {len(cloud)} points to {args.output} (median spacing h={h:.6g})")
+    if args.queries_path:
+        queries = interior_queries(fixture.spec(args), args.query_count or args.count,
+                                   args.query_seed, margin=args.margin,
+                                   epsilon=row.epsilon(sample, args))
+        textio.write_cloud(args.queries_path, queries)
+        print(f"wrote {len(queries)} interior queries to {args.queries_path}")
+    return 0
 
 
 def _report_solution(sol):
@@ -148,227 +287,72 @@ def _report_solution(sol):
         print(f"offset c:        {sol.offset:.8g}")
 
 
-def _weights_closed(cfg: RunConfig) -> int:
-    sample = textio.read_oriented(cfg.sample_path)
-    spec = _fixture_spec(cfg) if cfg.fixture else None
-    rows = (sample.dim if cfg.mode == "vector" else 2) * len(sample)
-    queries = _load_queries(cfg, spec, None, default_count=rows)
-    kc = KernelConfig(sample.dim, cfg.softening)
-    if cfg.mode == "vector":
-        sol = solve_closed_vector(sample.cloud, queries, kc, _solver_config(cfg))
-        normals = sol.mu / np.maximum(sol.tau[:, None], 1e-300)
-    else:
-        sol = solve_closed_scalar(sample, queries, kc, _solver_config(cfg))
-        normals = sample.normals
-    textio.write_weights(cfg.output, sample.points, sol.tau, normals=normals)
+def cmd_weights(args) -> int:
+    row = _PIPELINES[args.pipeline]
+    sample = row.read(args.sample_path)
+    eps, built, sol, points, normals = _solve(row, sample, _spec(args), args, args.query_seed)
+    textio.write_weights(args.output, points, sol.tau, normals=normals, offset=sol.offset,
+                         extra=row.tag(built, eps))
     _report_solution(sol)
+    if row.note:
+        print(row.note.format(eps=eps))
     return 0
 
 
-def _weights_collar(cfg: RunConfig) -> int:
-    sample = textio.read_oriented(cfg.sample_path)
-    eps = cfg.epsilon or default_epsilon(sample)
-    collar = build_collar(sample, CollarConfig(eps))
-    spec = _fixture_spec(cfg) if cfg.fixture else None
-    # one row per front point: thin-shell rows beyond that mostly add
-    # near-field noise rather than information
-    queries = _load_queries(cfg, spec, eps, default_count=len(sample))
-    kc = KernelConfig(sample.dim, cfg.softening)
-    # sign-flip noise between the near-antiparallel faces is orientation
-    # noise, not scale noise: keep magnitudes by default
-    cs = solve_collar(collar, queries, kc,
-                      _solver_config(cfg, default_policy=NegativeWeightPolicy.KEEP))
-    outward = collar.outward()
-    textio.write_weights(cfg.output, outward.points, cs.solution.tau,
-                         normals=outward.normals,
-                         extra=f"collar eps={eps:.17g}")
-    _report_solution(cs.solution)
-    print(f"collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)")
+def cmd_integrate(args) -> int:
+    """Apply the summation rule of the construction the weight file's header names."""
+    record = textio.read_weights(args.weights_path)
+    row = _pipeline_of(record)
+    domain_pts = row.domain(record, row.read(args.sample_path))
+    value = row.total(evaluate_integrand(args.integrand, domain_pts), record.tau, record.meta)
+    print(f"integral[{args.integrand}] = {value:.10g}  ({len(domain_pts)} sample points)")
+    ref = _spec(args).analytic_integrals.get(args.integrand) if args.fixture else None
+    if ref is not None:
+        err = abs(value - ref) / max(abs(ref), 1e-300) if ref else abs(value)
+        kindword = "rel" if ref else "abs"
+        print(f"reference = {ref:.10g}  {kindword}_err = {err:.3e}")
     return 0
 
 
-def _weights_tube(cfg: RunConfig) -> int:
-    base = textio.read_framed(cfg.sample_path)
-    eps = cfg.epsilon or 2.0 * median_nn_spacing(base.cloud)
-    if base.codim == 2 and cfg.q_directions < 8:
-        raise SurfquadError("codimension-2 tubes need at least 8 directions "
-                            "to keep the slice system conditioned")
-    dirs = sample_normal_sphere(base.codim, cfg.q_directions, eps)
-    tube = build_tube(base, dirs)
-    spec = _fixture_spec(cfg) if cfg.fixture else None
-    queries = _load_queries(cfg, spec, eps, default_count=2 * len(base))
-    kc = KernelConfig(base.dim, cfg.softening)
-    sol = solve_tube(tube, queries, kc, _solver_config(cfg))
-    textio.write_weights(cfg.output, tube.boundary.points, sol.tau,
-                         normals=tube.boundary.normals,
-                         extra=f"tube r={dirs.codim} q={dirs.count} eps={eps:.17g}")
-    _report_solution(sol)
-    return 0
-
-
-def _weights_s2_cap(cfg: RunConfig) -> int:
-    oriented = textio.read_oriented(cfg.sample_path)
-    sample = ManifoldBoundarySample(oriented.cloud, oriented.normals)
-    n_q = cfg.query_count or 50
-    interior = cap_query_points(cfg.alpha, n_q, cfg.query_seed, side="interior")
-    exterior = cap_query_points(cfg.alpha, n_q, cfg.query_seed + 1, side="exterior")
-    sol = solve_manifold_boundary(sample, SphereModel(), interior, exterior,
-                                  _solver_config(cfg))
-    textio.write_weights(cfg.output, sample.points, sol.tau,
-                         normals=sample.conormals, offset=sol.offset,
-                         extra="manifold=s2")
-    _report_solution(sol)
-    return 0
-
-
-_WEIGHT_RUNNERS = {
-    "closed": _weights_closed,
-    "collar": _weights_collar,
-    "tube": _weights_tube,
-    "s2-cap": _weights_s2_cap,
-}
-
-
-def cmd_integrate(cfg: RunConfig) -> int:
-    """Apply the summation rule the weight file's header declares."""
-    record = textio.read_weights(cfg.weights_path)
-    if "tube" in record.flags:
-        base = textio.read_framed(cfg.sample_path)
-        q, eps = int(record.meta["q"]), float(record.meta["eps"])
-        if len(record.tau) != q * len(base):
-            raise SurfquadError("weight file does not match the tube of the sample")
-        # boundary point = base + eps * slice normal, base-point-major order
-        domain_pts = (record.points - eps * record.normals)[::q]
-        f = evaluate_integrand(cfg.integrand, domain_pts)
-        dirs = sample_normal_sphere(int(record.meta["r"]), q, eps)
-        value = integrate_codim(f, record.tau, dirs)
-    elif "collar" in record.flags:
-        sample = textio.read_oriented(cfg.sample_path)
-        n = len(sample)
-        if len(record.tau) != 2 * n:
-            raise SurfquadError("weight file does not match a collar over the sample")
-        domain_pts = record.points[:n]
-        f = evaluate_integrand(cfg.integrand, domain_pts)
-        value = integrate_with_boundary(f, record.tau[:n], record.tau[n:])
-    else:
-        sample = textio.read_oriented(cfg.sample_path)
-        if len(record.tau) != len(sample):
-            raise SurfquadError("weight file does not match the sample")
-        domain_pts = sample.points
-        f = evaluate_integrand(cfg.integrand, domain_pts)
-        value = float(np.dot(f, record.tau))
-    print(f"integral[{cfg.integrand}] = {value:.10g}  ({len(domain_pts)} sample points)")
-    if cfg.fixture:
-        spec = _fixture_spec(cfg)
-        ref = spec.analytic_integrals.get(cfg.integrand)
-        if ref is not None:
-            err = abs(value - ref) / max(abs(ref), 1e-300) if ref else abs(value)
-            kindword = "rel" if ref else "abs"
-            print(f"reference = {ref:.10g}  {kindword}_err = {err:.3e}")
-    return 0
-
-
-def cmd_indicator(cfg: RunConfig) -> int:
-    record = textio.read_weights(cfg.weights_path)
+def cmd_indicator(args) -> int:
+    record = textio.read_weights(args.weights_path)
     if record.normals is None:
         raise SurfquadError("indicator evaluation needs a weight file with normals")
-    queries = textio.read_cloud(cfg.queries_path)
-    if record.meta.get("manifold") == "s2":
-        chi = _s2_indicator_field(queries, record)
-    else:
-        sol = WeightSolution(mu=record.tau[:, None] * record.normals, tau=record.tau,
-                             residual_norm=0.0,
-                             diagnostics=SolveDiagnostics(0, len(record.tau), 0.0, 0),
-                             offset=record.offset)
-        kc = KernelConfig(queries.dim, cfg.softening)
-        chi = indicator_values(queries, PointCloud(record.points), sol, kc)
-    with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+    queries = textio.read_cloud(args.queries_path)
+    chi = _pipeline_of(record).indicator(record, queries, args)
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i+1}" for i in range(queries.dim)] + ["chi"])
         for pt, v in zip(queries.points, chi):
             writer.writerow([f"{c:.17g}" for c in pt] + [f"{v:.17g}"])
-    print(f"wrote indicator values for {len(queries)} queries to {cfg.output}")
+    print(f"wrote indicator values for {len(queries)} queries to {args.output}")
     return 0
 
 
-def _s2_indicator_field(queries, record) -> np.ndarray:
-    """Recovered indicator on the sphere: -sum_j g(grad G(p, q_j), N_j) tau_j + c."""
-    from .riemannian import _s2_green_gradient_rows
-
-    out = np.empty(len(queries))
-    for i, p in enumerate(queries.points):
-        grads = _s2_green_gradient_rows(p, record.points)
-        out[i] = -np.einsum("jk,jk->j", grads, record.normals) @ record.tau
-    if record.offset is not None:
-        out += record.offset
-    return out
-
-
-STUDY_HEADER = ["N", "eps", "lambda", "residual", "integral", "ref", "rel_err", "seconds"]
-
-
-def _study_row(cfg: RunConfig, n: int, row_seed: int):
-    start = time.perf_counter()
-    if cfg.fixture == "sphere":
-        sample = gen_fibonacci_sphere(n)
-        # closer queries than the deep-interior default: the study should
-        # expose the resolution-limited error, not the machine floor
-        margin = 0.3 if cfg.margin is None else cfg.margin
-        queries = interior_queries(sphere_spec(), cfg.query_count or 300, row_seed,
-                                   margin=margin)
-        sol = solve_closed_scalar(sample, queries,
-                                  KernelConfig(3, cfg.softening), _solver_config(cfg))
-        integral = float(sol.tau.sum())
-        ref, eps = float(4.0 * np.pi), 0.0
-    elif cfg.fixture == "hemisphere":
-        sample = gen_hemisphere(n)
-        eps = cfg.epsilon or 2.0 * median_nn_spacing(sample.cloud)
-        collar = build_collar(sample, CollarConfig(eps))
-        queries = interior_queries(hemisphere_spec(), cfg.query_count or n, row_seed,
-                                   epsilon=eps)
-        cs = solve_collar(collar, queries, KernelConfig(3, cfg.softening),
-                          _solver_config(cfg, default_policy=NegativeWeightPolicy.KEEP))
-        sol = cs.solution
-        integral = integrate_with_boundary(np.ones(n), cs.front_tau, cs.back_tau)
-        ref = float(2.0 * np.pi)
-    elif cfg.fixture == "circle-r3":
-        base = gen_circle_r3(n)
-        eps = cfg.epsilon or 2.0 * median_nn_spacing(base.cloud)
-        dirs = sample_normal_sphere(2, cfg.q_directions, eps)
-        tube = build_tube(base, dirs)
-        queries = interior_queries(circle_r3_spec(), cfg.query_count or 2 * n, row_seed,
-                                   epsilon=eps)
-        sol = solve_tube(tube, queries, KernelConfig(3, cfg.softening), _solver_config(cfg))
-        integral = integrate_codim(np.ones(n), sol.tau, dirs)
-        ref = float(2.0 * np.pi)
-    elif cfg.fixture == "s2-cap":
-        sample = cap_boundary_sample(cfg.alpha, n)
-        n_q = cfg.query_count or 50
-        qi = cap_query_points(cfg.alpha, n_q, row_seed, side="interior")
-        qe = cap_query_points(cfg.alpha, n_q, row_seed + 1, side="exterior")
-        sol = solve_manifold_boundary(sample, SphereModel(), qi, qe, _solver_config(cfg))
-        integral = float(sol.tau.sum())
-        ref, eps = float(2.0 * np.pi * np.sin(cfg.alpha)), 0.0
-    else:
-        raise SurfquadError(f"study does not support fixture {cfg.fixture!r}")
-    rel_err = abs(integral - ref) / abs(ref)
-    seconds = time.perf_counter() - start
-    return [n, eps, sol.diagnostics.regularization, sol.residual_norm,
-            integral, ref, rel_err, seconds]
-
-
-def cmd_study(cfg: RunConfig) -> int:
-    if not cfg.sizes:
-        raise SurfquadError("study needs a nonempty --sizes list")
-    rows = [_study_row(cfg, n, cfg.seed + i) for i, n in enumerate(cfg.sizes)]
-    with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+def cmd_study(args) -> int:
+    sizes = [int(v) for v in str(args.sizes).split(",") if v]
+    if not sizes:
+        raise SurfquadError("empty --sizes list")
+    fixture = _FIXTURES[args.fixture]
+    row, spec = _PIPELINES[fixture.pipeline], fixture.spec(args)
+    ref = spec.analytic_integrals["const1"]
+    rows = []
+    for i, n in enumerate(sizes):
+        start = time.perf_counter()
+        sample = fixture.generate(args, n)
+        eps, built, sol, _, _ = _solve(row, sample, spec, args, args.seed + i, study=True)
+        integral = row.total(None, sol.tau, _header_meta(row.tag(built, eps)))
+        rows.append([n, eps or 0.0, sol.diagnostics.regularization, sol.residual_norm,
+                     integral, ref, abs(integral - ref) / abs(ref),
+                     time.perf_counter() - start])
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STUDY_HEADER)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
     for row in rows:
         print(f"N={row[0]}: integral={row[4]:.8g} rel_err={row[6]:.3e} ({row[7]:.2f}s)")
-    print(f"wrote {len(rows)} study rows to {cfg.output}")
+    print(f"wrote {len(rows)} study rows to {args.output}")
     return 0
 
 
@@ -404,6 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--query-seed", type=int, default=1)
     g.add_argument("--margin", type=float, default=None)
     g.add_argument("--epsilon", type=float, default=None)
+    g.set_defaults(run=cmd_generate)
 
     w = sub.add_parser("weights", help="assemble and solve an indicator system")
     w.add_argument("--pipeline", choices=PIPELINES, required=True)
@@ -418,18 +403,21 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--q-directions", type=int, default=16)
     w.add_argument("--mode", choices=("scalar", "vector"), default="scalar")
     common_numeric(w)
+    w.set_defaults(run=cmd_weights)
 
     it = sub.add_parser("integrate", help="integrate a named function with solved weights")
     it.add_argument("--sample", dest="sample_path", required=True)
     it.add_argument("--weights", dest="weights_path", required=True)
     it.add_argument("--integrand", choices=sorted(INTEGRANDS), default="const1")
     fixture_args(it)
+    it.set_defaults(run=cmd_integrate)
 
     ind = sub.add_parser("indicator", help="probe the recovered indicator on a query file")
     ind.add_argument("--weights", dest="weights_path", required=True)
     ind.add_argument("--queries", dest="queries_path", required=True)
     ind.add_argument("-o", "--output", required=True)
     ind.add_argument("--softening", type=float, default=0.0)
+    ind.set_defaults(run=cmd_indicator)
 
     st = sub.add_parser("study", help="convergence sweep with CSV output")
     st.add_argument("--fixture", choices=("sphere", "hemisphere", "circle-r3", "s2-cap"),
@@ -445,52 +433,19 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--alpha", type=float, default=np.pi / 3)
     st.add_argument("-o", "--output", required=True)
     common_numeric(st)
+    # study generates its samples and queries, and solves scalar systems
+    st.set_defaults(run=cmd_study, queries_path=None, mode="scalar")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if name in ("a", "b", "c", "command", "pipeline", "sizes"):
-            continue
-        if hasattr(cfg, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "a"):
-        cfg.radii = (args.a, args.b, args.c)
-    if getattr(args, "policy", None):
-        cfg.policy = _POLICIES[args.policy]
-    else:
-        cfg.policy = None
-    if hasattr(args, "rhs_mode"):
-        cfg.rhs_mode = _RHS_MODES[args.rhs_mode]
-    if getattr(args, "sizes", None):
-        cfg.sizes = [int(v) for v in str(args.sizes).split(",") if v]
-        if not cfg.sizes:
-            raise SurfquadError("empty --sizes list")
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "weights":
-            return _WEIGHT_RUNNERS[args.pipeline](cfg)
-        if args.command == "integrate":
-            return cmd_integrate(cfg)
-        if args.command == "indicator":
-            return cmd_indicator(cfg)
-        if args.command == "study":
-            return cmd_study(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (SurfquadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

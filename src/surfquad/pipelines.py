@@ -12,8 +12,7 @@ import numpy as np
 from .collar import CollarSample
 from .geometry import OrientedSample, PointCloud
 from .kernel import KernelConfig
-from .riemannian import (ManifoldBoundarySample, ManifoldModel,
-                         assemble_riemann_system)
+from .riemannian import ManifoldBoundarySample, SphereModel, assemble_riemann_system
 from .solver import (NegativeWeightPolicy, SolverConfig, WeightSolution,
                      assemble_scalar_system, assemble_vector_system,
                      solve_weights)
@@ -74,7 +73,7 @@ def solve_tube(tube: TubeSample, queries: PointCloud,
     return solve_closed_scalar(tube.boundary, queries, kernel_config, solver_config)
 
 
-def solve_manifold_boundary(sample: ManifoldBoundarySample, model: ManifoldModel,
+def solve_manifold_boundary(sample: ManifoldBoundarySample, model: SphereModel,
                             interior_queries: PointCloud, exterior_queries: PointCloud,
                             solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
     """Offset-augmented solve on a compact Riemannian manifold."""

@@ -10,38 +10,16 @@ vol(domain)/vol(M); the assembled system carries a trailing offset column
 that absorbs it, with rhs 1 on interior queries and 0 on exterior ones.
 """
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneratePairError
 from .geometry import PointCloud
-from .solver import IndicatorSystem, SystemLayout, integrate_function
+from .solver import QUERY_CHUNK, IndicatorSystem, SystemLayout
 
 TANGENT_TOL = 1e-10
 _PAIR_TOL = 1e-14
-
-
-class ManifoldModel(abc.ABC):
-    """Geodesic quantities a Riemannian indicator assembly needs."""
-
-    @property
-    @abc.abstractmethod
-    def dimension(self) -> int: ...
-
-    @abc.abstractmethod
-    def geodesic_distance(self, p, q) -> float: ...
-
-    @abc.abstractmethod
-    def green_gradient(self, p, q) -> np.ndarray:
-        """Gradient (in q, ambient representation) of the Green function at (p, q)."""
-
-    @abc.abstractmethod
-    def metric_dot(self, q, u, v) -> float: ...
-
-    @abc.abstractmethod
-    def volume(self) -> float: ...
 
 
 def s2_green_gradient(p, q) -> np.ndarray:
@@ -49,53 +27,44 @@ def s2_green_gradient(p, q) -> np.ndarray:
 
     Returns -(1/(4 pi)) cot(theta/2) * t_hat with theta the geodesic angle
     and t_hat the unit tangent at q pointing away from p along their great
-    circle. Undefined (raises) for coincident or antipodal pairs.
+    circle. p holds source points, shape (..., 3); q holds one field point,
+    shape (3,), or rows of them, shape (..., N, 3). Leading axes broadcast as
+    in a matrix-vector product, giving shape (..., N, 3) or (..., 3).
+    Undefined (raises) for coincident or antipodal pairs.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    c = float(np.dot(p, q))
-    if c >= 1.0 - _PAIR_TOL:
+    if q.ndim == 1:
+        return s2_green_gradient(p, q[None, :])[..., 0, :]
+    # cosines, shape (..., N, 1): one matrix-vector product q @ p per source
+    # point, so a chunk of sources rounds exactly as one source at a time does
+    c = np.matmul(q, p[..., :, None])
+    if np.any(c >= 1.0 - _PAIR_TOL):
         raise DegeneratePairError("green gradient undefined at coincident points")
-    if c <= -1.0 + _PAIR_TOL:
+    if np.any(c <= -1.0 + _PAIR_TOL):
         raise DegeneratePairError("green gradient undefined at antipodal points")
     theta = np.arccos(np.clip(c, -1.0, 1.0))
-    away = c * q - p
-    away /= np.linalg.norm(away)
-    return (-1.0 / (4.0 * np.pi)) * (1.0 / np.tan(theta / 2.0)) * away
+    away = c * q - p[..., None, :]
+    away /= np.linalg.norm(away, axis=-1, keepdims=True)
+    return (-1.0 / (4.0 * np.pi)) / np.tan(theta / 2.0) * away
 
 
-def _s2_green_gradient_rows(p: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Vectorized s2_green_gradient over sample rows Q for a single p."""
-    c = Q @ p
-    if np.any(c >= 1.0 - _PAIR_TOL) or np.any(c <= -1.0 + _PAIR_TOL):
-        raise DegeneratePairError("query coincides with or is antipodal to a sample point")
-    theta = np.arccos(np.clip(c, -1.0, 1.0))
-    away = c[:, None] * Q - p[None, :]
-    away /= np.linalg.norm(away, axis=1, keepdims=True)
-    mag = (-1.0 / (4.0 * np.pi)) / np.tan(theta / 2.0)
-    return mag[:, None] * away
+class SphereModel:
+    """Round unit sphere S^2 embedded in R^3; owns its double-layer kernel block."""
 
+    def double_layer(self, queries: np.ndarray, points: np.ndarray, conormals: np.ndarray,
+                     tau: np.ndarray | None = None) -> np.ndarray:
+        """Rows -g(grad G(p_i, q_j), N_j) over query points p_i, or their products with tau.
 
-class SphereModel(ManifoldModel):
-    """Round unit sphere S^2 embedded in R^3."""
-
-    @property
-    def dimension(self) -> int:
-        return 2
-
-    def geodesic_distance(self, p, q) -> float:
-        c = np.clip(float(np.dot(p, q)), -1.0, 1.0)
-        return float(np.arccos(c))
-
-    def green_gradient(self, p, q) -> np.ndarray:
-        return s2_green_gradient(p, q)
-
-    def metric_dot(self, q, u, v) -> float:
-        # induced metric of the embedding: Euclidean pairing of tangents
-        return float(np.dot(u, v))
-
-    def volume(self) -> float:
-        return 4.0 * np.pi
+        Built in query chunks, so with tau the full row block never exists.
+        """
+        out = np.empty((len(queries), len(points)) if tau is None else len(queries))
+        for lo in range(0, len(queries), QUERY_CHUNK):
+            hi = min(lo + QUERY_CHUNK, len(queries))
+            grads = s2_green_gradient(queries[lo:hi], points)
+            rows = -np.einsum("ijk,jk->ij", grads, conormals)
+            out[lo:hi] = rows if tau is None else rows @ tau
+        return out
 
 
 @dataclass(frozen=True)
@@ -179,16 +148,15 @@ def continuous_cap_indicator(p, alpha: float, quadrature_count: int) -> float:
     if quadrature_count < 1:
         raise ValueError("quadrature_count must be positive")
     nodes = cap_boundary_sample(alpha, quadrature_count)
-    p = np.asarray(p, dtype=float)
-    grads = _s2_green_gradient_rows(p, nodes.points)
-    integrand = np.einsum("jk,jk->j", grads, nodes.conormals)
+    p = np.asarray(p, dtype=float).reshape(1, 3)
+    row = SphereModel().double_layer(p, nodes.points, nodes.conormals)[0]
     circumference = 2.0 * np.pi * np.sin(alpha)
-    return float(-np.mean(integrand) * circumference)
+    return float(np.mean(row) * circumference)
 
 
 def assemble_riemann_system(interior_queries: PointCloud, exterior_queries: PointCloud,
                             sample: ManifoldBoundarySample,
-                            model: ManifoldModel) -> IndicatorSystem:
+                            model: SphereModel) -> IndicatorSystem:
     """Offset-augmented scalar system: rows -g(grad G(p_i, q_j), N(q_j)) | 1.
 
     rhs is 1 for interior queries, 0 for exterior ones; the trailing unknown
@@ -197,22 +165,8 @@ def assemble_riemann_system(interior_queries: PointCloud, exterior_queries: Poin
     """
     if len(interior_queries) < 1 or len(exterior_queries) < 1:
         raise ValueError("need at least one interior and one exterior query")
-    Q, N = sample.points, sample.conormals
-    fast = isinstance(model, SphereModel)
-    rows = []
-    for cloud in (interior_queries, exterior_queries):
-        for p in cloud.points:
-            if fast:
-                rows.append(-np.einsum("jk,jk->j", _s2_green_gradient_rows(p, Q), N))
-            else:
-                rows.append([-model.metric_dot(q, model.green_gradient(p, q), n)
-                             for q, n in zip(Q, N)])
-    A = np.asarray(rows, dtype=float)
+    queries = np.vstack([interior_queries.points, exterior_queries.points])
+    A = model.double_layer(queries, sample.points, sample.conormals)
     A = np.hstack([A, np.ones((A.shape[0], 1))])
     rhs = np.concatenate([np.ones(len(interior_queries)), np.zeros(len(exterior_queries))])
     return IndicatorSystem(A, rhs, SystemLayout.OFFSET_AUGMENTED, len(sample))
-
-
-def integrate_on_manifold_boundary(f_values: np.ndarray, solution) -> float:
-    """sum_j f(q_j) tau_j, the same rule as the Euclidean pipelines."""
-    return integrate_function(f_values, solution)

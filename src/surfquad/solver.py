@@ -21,13 +21,14 @@ from .geometry import OrientedSample, PointCloud
 from .kernel import KernelConfig, double_layer_block
 
 # queries per assembly chunk; bounds the (chunk, N_Y, n) kernel block memory
-_CHUNK = 256
+QUERY_CHUNK = 256
 
 AUTO_REGULARIZATION = None
 _AUTO_SCALE = 1e-6
 
-# a clamp that removes more than this share of the kept mass sum(tau) warns;
-# half the tightest integral tolerance of the acceptance suite (2%)
+# a clamp that removes (or a flip that carries) more than this share of the
+# kept mass sum(tau) warns; half the tightest integral tolerance of the
+# acceptance suite (2%)
 CLAMP_WARN_FRACTION = 0.01
 
 
@@ -40,7 +41,6 @@ class SystemLayout(Enum):
 class RhsMode(Enum):
     ON_SURFACE_HALF = "on_surface_half"
     INTERIOR_ONE = "interior_one"
-    MIXED_OFFSET = "mixed_offset"
 
 
 class NegativeWeightPolicy(Enum):
@@ -117,11 +117,7 @@ class WeightSolution:
 
 def _rhs_values(rhs_mode, count: int) -> np.ndarray:
     if isinstance(rhs_mode, RhsMode):
-        if rhs_mode is RhsMode.ON_SURFACE_HALF:
-            return np.full(count, 0.5)
-        if rhs_mode is RhsMode.INTERIOR_ONE:
-            return np.ones(count)
-        raise ValueError("mixed_offset rhs requires per-row values or the Riemannian assembler")
+        return np.full(count, 0.5 if rhs_mode is RhsMode.ON_SURFACE_HALF else 1.0)
     vals = np.asarray(rhs_mode, dtype=float)
     if vals.shape != (count,):
         raise ValueError("per-row rhs must have one value per query")
@@ -136,8 +132,8 @@ def assemble_vector_system(queries: PointCloud, sample: PointCloud,
     X, Y = queries.points, sample.points
     n, n_y = sample.dim, len(sample)
     A = np.empty((len(queries), n * n_y))
-    for lo in range(0, len(queries), _CHUNK):
-        hi = min(lo + _CHUNK, len(queries))
+    for lo in range(0, len(queries), QUERY_CHUNK):
+        hi = min(lo + QUERY_CHUNK, len(queries))
         A[lo:hi] = double_layer_block(X[lo:hi], Y, config).reshape(hi - lo, n * n_y)
     return IndicatorSystem(A, _rhs_values(rhs_mode, len(queries)),
                            SystemLayout.VECTOR_UNKNOWNS, n_y)
@@ -150,8 +146,8 @@ def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
         raise ValueError("queries and sample must share an ambient dimension")
     X, Y, N = queries.points, sample.points, sample.normals
     A = np.empty((len(queries), len(sample)))
-    for lo in range(0, len(queries), _CHUNK):
-        hi = min(lo + _CHUNK, len(queries))
+    for lo in range(0, len(queries), QUERY_CHUNK):
+        hi = min(lo + QUERY_CHUNK, len(queries))
         A[lo:hi] = np.einsum("ijk,jk->ij", double_layer_block(X[lo:hi], Y, config), N)
     return IndicatorSystem(A, _rhs_values(rhs_mode, len(queries)),
                            SystemLayout.SCALAR_UNKNOWNS, len(sample))
@@ -176,13 +172,13 @@ def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
-def _warn_if_clamp_lost_mass(negative: int, removed: float, kept: float) -> None:
+def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
     # compared without dividing: a clamp may leave no kept mass at all
-    if removed <= CLAMP_WARN_FRACTION * kept:
+    if mass <= CLAMP_WARN_FRACTION * kept:
         return
-    share = f"{removed / kept:.1%} of the kept mass {kept:.6g}" if kept > 0.0 else "all of it"
+    share = f"{mass / kept:.1%} of the kept mass {kept:.6g}" if kept > 0.0 else "all of it"
     warnings.warn(ClampedMassWarning(
-        f"clamping {negative} negative raw weights removed mass {removed:.6g}, {share}; "
+        f"{action} mass {mass:.6g}, {share}; "
         f"the sample likely does not resolve the indicator at the queries"), stacklevel=3)
 
 
@@ -225,9 +221,11 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
             raise NegativeWeightError(f"{negative} negative raw scalar weights")
         if policy is NegativeWeightPolicy.CLAMP_TO_ZERO:
             tau = np.maximum(raw, 0.0)
-            _warn_if_clamp_lost_mass(negative, removed, float(tau.sum()))
+            action = f"clamping {negative} negative raw weights removed"
         else:
             tau = np.abs(raw)
+            action = f"flipping {negative} negative raw weights to |raw| carried"
+        _warn_if_policy_moved_mass(action, removed, float(tau.sum()))
         mu = tau[:, None] * normals
 
     diag = SolveDiagnostics(rows=A.shape[0], cols=A.shape[1], regularization=lam,
@@ -243,8 +241,8 @@ def indicator_values(queries: PointCloud, sample: PointCloud,
         raise ValueError("queries and sample must share an ambient dimension")
     X, Y = queries.points, sample.points
     out = np.empty(len(queries))
-    for lo in range(0, len(queries), _CHUNK):
-        hi = min(lo + _CHUNK, len(queries))
+    for lo in range(0, len(queries), QUERY_CHUNK):
+        hi = min(lo + QUERY_CHUNK, len(queries))
         out[lo:hi] = np.einsum("ijk,jk->i", double_layer_block(X[lo:hi], Y, config),
                                solution.mu)
     if solution.offset is not None:

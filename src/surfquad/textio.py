@@ -3,8 +3,9 @@
 One point per line, whitespace-separated reals: n columns for bare clouds,
 2n for oriented samples (point then normal), n + r*n for framed samples
 (point then frame rows). Lines starting with '#' are comments; a header
-comment carries `dim=<n> codim=<r>` plus block-specific tags (`tau`,
-`collar eps=...`, `tube r=... q=... eps=...`, `manifold=s2`, `offset=...`).
+comment carries `dim=<n> codim=<r>`; weight files add the `tau` flag and
+the tags of their construction (`collar eps=...`, `tube r=... q=... eps=...`,
+`manifold=s2`, `offset=...`).
 Floats are written with 17 significant digits so files round-trip losslessly
 and regeneration under identical flags is byte-identical.
 """
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collar import CollarSample
 from .geometry import FramedSample, OrientedSample, PointCloud
 
 _FMT = "%.17g"
@@ -49,12 +49,6 @@ def _parse(path):
     return np.asarray(rows, dtype=float), meta, flags
 
 
-def sniff(path) -> tuple[dict, set]:
-    """Header metadata and flags of a file, without interpreting its rows."""
-    _, meta, flags = _parse(path)
-    return meta, flags
-
-
 def _header(dim: int, codim: int = 1, extra: str = "") -> str:
     text = f"# dim={dim} codim={codim}"
     return text + (" " + extra if extra else "")
@@ -80,16 +74,12 @@ def write_oriented(path, sample: OrientedSample, extra: str = ""):
         _write_matrix(fh, np.hstack([sample.points, sample.normals]))
 
 
-def _split_oriented(data: np.ndarray, dim: int) -> OrientedSample:
-    if data.shape[1] != 2 * dim:
-        raise ValueError(f"expected {2 * dim} columns for an oriented sample")
-    return OrientedSample(PointCloud(data[:, :dim]), data[:, dim:])
-
-
 def read_oriented(path) -> OrientedSample:
     data, meta, _ = _parse(path)
     dim = int(meta.get("dim", data.shape[1] // 2))
-    return _split_oriented(data, dim)
+    if data.shape[1] != 2 * dim:
+        raise ValueError(f"{path}: expected {2 * dim} columns for an oriented sample")
+    return OrientedSample(PointCloud(data[:, :dim]), data[:, dim:])
 
 
 def write_framed(path, framed: FramedSample):
@@ -109,66 +99,6 @@ def read_framed(path) -> FramedSample:
         raise ValueError(f"{path}: expected {dim + r * dim} columns for codim {r}")
     frames = data[:, dim:].reshape(-1, r, dim)
     return FramedSample(PointCloud(data[:, :dim]), frames)
-
-
-def write_collar(path, collar: CollarSample):
-    front, back = collar.front, collar.back
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(front.dim, extra=f"collar eps={_FMT % collar.epsilon}") + "\n")
-        _write_matrix(fh, np.hstack([front.points, front.normals]))
-        _write_matrix(fh, np.hstack([back.points, back.normals]))
-
-
-def read_collar(path) -> CollarSample:
-    data, meta, _ = _parse(path)
-    if "eps" not in meta:
-        raise ValueError(f"{path}: collar files need 'eps=' in the header")
-    dim = int(meta.get("dim", data.shape[1] // 2))
-    if data.shape[0] % 2:
-        raise ValueError(f"{path}: collar files hold an even number of rows")
-    half = data.shape[0] // 2
-    return CollarSample(front=_split_oriented(data[:half], dim),
-                        back=_split_oriented(data[half:], dim),
-                        epsilon=float(meta["eps"]))
-
-
-@dataclass(frozen=True)
-class TubeRecord:
-    """Read-side view of a serialized tube boundary."""
-
-    boundary: OrientedSample
-    base_index: np.ndarray
-    codim: int
-    direction_count: int
-    epsilon: float
-
-    def base_points(self) -> np.ndarray:
-        """Distinct base points recovered from boundary = base + eps * normal."""
-        pts = self.boundary.points - self.epsilon * self.boundary.normals
-        return pts[:: self.direction_count]
-
-
-def write_tube(path, tube) -> None:
-    b = tube.boundary
-    extra = (f"tube r={tube.directions.codim} q={tube.directions.count} "
-             f"eps={_FMT % tube.directions.epsilon}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(b.dim, codim=tube.directions.codim, extra=extra) + "\n")
-        _write_matrix(fh, np.hstack([b.points, b.normals, tube.base_index[:, None]]))
-
-
-def read_tube(path) -> TubeRecord:
-    data, meta, flags = _parse(path)
-    if "tube" not in flags or not {"r", "q", "eps"} <= meta.keys():
-        raise ValueError(f"{path}: tube files need a '# tube r= q= eps=' header")
-    dim = int(meta["dim"])
-    if data.shape[1] != 2 * dim + 1:
-        raise ValueError(f"{path}: expected {2 * dim + 1} columns for a tube sample")
-    return TubeRecord(boundary=_split_oriented(data[:, :-1], dim),
-                      base_index=data[:, -1].astype(int),
-                      codim=int(meta["r"]),
-                      direction_count=int(meta["q"]),
-                      epsilon=float(meta["eps"]))
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,6 @@ def test_generate_deterministic_bytes(tmp_path):
 def test_generate_circle_framed_header(tmp_path):
     out = tmp_path / "c.txt"
     assert run(["generate", "--fixture", "circle-r3", "--count", 100, "-o", out]) == 0
-    meta, _ = textio.sniff(out)
-    assert meta["codim"] == "2"
     framed = textio.read_framed(out)
     assert framed.codim == 2 and len(framed) == 100
 
@@ -174,6 +172,13 @@ def test_study_csv_schema_and_roundtrip(tmp_path):
     for r in parsed:
         assert r[5] == pytest.approx(4.0 * np.pi)
         assert r[6] < 0.02
+
+
+def test_study_rejects_underresolved_codim2_tube(tmp_path):
+    # the same guard as `weights --pipeline tube`: the study shares its wiring
+    assert run(["study", "--fixture", "circle-r3", "--sizes", 120, "--q-directions", 4,
+                "-o", tmp_path / "s.csv"]) == 1
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_study_empty_sizes_rejected(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from surfquad.collar import (CollarConfig, CollarSample, build_collar,
                              default_epsilon, integrate_with_boundary,
                              strip_defect_area)
-from surfquad.errors import SelfIntersectionError
+from surfquad.errors import ClampedMassWarning, SelfIntersectionError
 from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
                                gen_hemisphere, hemisphere_spec, interior_queries,
                                median_nn_spacing, sphere_spec)
@@ -115,6 +115,23 @@ def test_hemisphere_pipeline_half_sum_area():
     result = solve_collar(collar, queries)
     area = integrate_with_boundary(np.ones(2000), result.front_tau, result.back_tau)
     assert area == pytest.approx(2.0 * np.pi, rel=0.05)
+
+
+def test_collar_flip_of_negative_weights_warns():
+    """The collar default keeps |raw|; a flip that carries real mass must say so.
+
+    At N = 1000, default eps, 1000 queries and query seed 2, 303 raw weights
+    are negative and carry 6.3% of the kept mass; the half-sum area is then
+    about 9% high.
+    """
+    hemi = gen_hemisphere(1000)
+    eps = default_epsilon(hemi)
+    collar = build_collar(hemi, CollarConfig(eps))
+    queries = interior_queries(hemisphere_spec(), 1000, seed=2, epsilon=eps)
+    with pytest.warns(ClampedMassWarning, match="flipping .* negative raw weights"):
+        result = solve_collar(collar, queries)
+    sol = result.solution
+    assert sol.diagnostics.removed_mass > 0.05 * sol.tau.sum()
 
 
 def test_hemisphere_front_back_weight_agreement():

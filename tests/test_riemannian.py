@@ -9,8 +9,8 @@ from surfquad.pipelines import solve_manifold_boundary
 from surfquad.riemannian import (ManifoldBoundarySample, SphereModel,
                                  assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points, continuous_cap_indicator,
-                                 integrate_on_manifold_boundary, s2_green_gradient)
-from surfquad.solver import SystemLayout
+                                 s2_green_gradient)
+from surfquad.solver import SystemLayout, integrate_function
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -84,16 +84,6 @@ def test_gradient_degenerate_pairs_raise():
         s2_green_gradient(NORTH, NORTH)
     with pytest.raises(DegeneratePairError):
         s2_green_gradient(NORTH, SOUTH)
-
-
-def test_sphere_model_interface():
-    model = SphereModel()
-    assert model.dimension == 2
-    assert model.volume() == pytest.approx(4.0 * np.pi)
-    assert model.geodesic_distance(NORTH, _on_sphere(0.7)) == pytest.approx(0.7)
-    assert model.geodesic_distance(NORTH, NORTH) == 0.0
-    u = np.array([1.0, 0, 0])
-    assert model.metric_dot(NORTH, u, u) == 1.0
 
 
 # --- cap boundary fixtures -----------------------------------------------------
@@ -206,7 +196,7 @@ def test_cap_pipeline_length_and_offset():
     qi = cap_query_points(alpha, 50, seed=21, side="interior")
     qe = cap_query_points(alpha, 50, seed=22, side="exterior")
     sol = solve_manifold_boundary(sample, SphereModel(), qi, qe)
-    length = integrate_on_manifold_boundary(np.ones(400), sol)
+    length = integrate_function(np.ones(400), sol)
     assert length == pytest.approx(2.0 * np.pi * np.sin(alpha), rel=0.05)
     assert sol.offset == pytest.approx(np.sin(alpha / 2.0) ** 2, abs=0.05)
 
@@ -217,5 +207,5 @@ def test_pipeline_integrates_named_moments():
     qi = cap_query_points(alpha, 40, seed=5, side="interior")
     qe = cap_query_points(alpha, 40, seed=6, side="exterior")
     sol = solve_manifold_boundary(sample, SphereModel(), qi, qe)
-    x2 = integrate_on_manifold_boundary(sample.points[:, 0] ** 2, sol)
+    x2 = integrate_function(sample.points[:, 0] ** 2, sol)
     assert x2 == pytest.approx(np.pi, rel=0.05)  # equator: pi * sin^3(alpha)

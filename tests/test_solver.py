@@ -176,9 +176,11 @@ def test_residual_monotone_in_lambda():
 def test_negative_weight_policies():
     system = _scalar_system(-np.eye(2), np.array([0.0, 1.0]))
     normals = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-    keep = solve_weights(system, SolverConfig(regularization=0.0,
-                                              negative_weight_policy=NegativeWeightPolicy.KEEP),
-                         normals=normals)
+    # the flip carries half of the kept mass, so it must warn like a clamp
+    with pytest.warns(ClampedMassWarning, match="flipping 1 negative raw weights"):
+        keep = solve_weights(system, SolverConfig(
+            regularization=0.0, negative_weight_policy=NegativeWeightPolicy.KEEP),
+            normals=normals)
     assert np.allclose(keep.tau, [0.0, 1.0])
     assert keep.diagnostics.negative_count == 1
     assert keep.diagnostics.removed_mass == pytest.approx(1.0)

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from surfquad import textio
-from surfquad.collar import CollarConfig, build_collar
-from surfquad.geometry import (PointCloud, gen_circle_r3, gen_fibonacci_sphere,
-                               gen_hemisphere)
-from surfquad.tube import build_tube, sample_normal_sphere
+from surfquad.geometry import PointCloud, gen_circle_r3, gen_fibonacci_sphere
 
 
 def test_cloud_round_trip(tmp_path):
@@ -36,27 +33,6 @@ def test_framed_round_trip(tmp_path):
     assert back.codim == 2
     assert np.array_equal(back.points, framed.points)
     assert np.array_equal(back.frames, framed.frames)
-
-
-def test_collar_round_trip(tmp_path):
-    collar = build_collar(gen_hemisphere(31), CollarConfig(0.07))
-    path = tmp_path / "collar.txt"
-    textio.write_collar(path, collar)
-    back = textio.read_collar(path)
-    assert back.epsilon == 0.07
-    assert np.array_equal(back.front.points, collar.front.points)
-    assert np.array_equal(back.back.normals, collar.back.normals)
-
-
-def test_tube_round_trip(tmp_path):
-    tube = build_tube(gen_circle_r3(9), sample_normal_sphere(2, 5, 0.04))
-    path = tmp_path / "tube.txt"
-    textio.write_tube(path, tube)
-    back = textio.read_tube(path)
-    assert back.codim == 2 and back.direction_count == 5 and back.epsilon == 0.04
-    assert np.array_equal(back.boundary.points, tube.boundary.points)
-    assert np.array_equal(back.base_index, tube.base_index)
-    assert np.allclose(back.base_points(), tube.base.points, atol=1e-15)
 
 
 def test_weights_round_trip_with_offset(tmp_path):
@@ -119,6 +95,6 @@ def test_weight_file_requires_tau_flag(tmp_path):
 def test_manifold_header_preserved(tmp_path):
     sample = gen_fibonacci_sphere(6)
     path = tmp_path / "cap.txt"
-    textio.write_oriented(path, sample, extra="manifold=s2")
-    meta, _ = textio.sniff(path)
-    assert meta["manifold"] == "s2"
+    textio.write_weights(path, sample.points, np.ones(6), normals=sample.normals,
+                         extra="manifold=s2")
+    assert textio.read_weights(path).meta["manifold"] == "s2"
