@@ -23,7 +23,7 @@ from .riemannian import (ManifoldBoundarySample, SphereModel, assemble_riemann_s
                          cap_boundary_sample, continuous_cap_indicator, s2_green_gradient)
 from .solver import (IndicatorSystem, NegativeWeightPolicy, RhsMode, SolverConfig,
                      SystemLayout, WeightSolution, assemble_scalar_system,
-                     assemble_vector_system, evaluate_indicator, indicator_values,
+                     assemble_vector_system, double_layer, indicator_values,
                      integrate_function, solve_weights)
 from .tube import (SphereDirections, TubeSample, build_tube, integrate_codim,
                    sample_normal_sphere, tube_sphere_measure)

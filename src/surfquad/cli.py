@@ -24,12 +24,11 @@ from .geometry import (INTEGRANDS, OrientedSample, PointCloud, circle_r3_spec,
                        hemisphere_spec, interior_queries, median_nn_spacing,
                        s2_cap_spec, sphere_spec)
 from .kernel import KernelConfig
-from .pipelines import (solve_closed_scalar, solve_closed_vector, solve_collar,
-                        solve_manifold_boundary, solve_tube)
+from .pipelines import (COLLAR_SOLVER_DEFAULTS, solve_closed_scalar, solve_closed_vector,
+                        solve_collar, solve_manifold_boundary, solve_tube)
 from .riemannian import (ManifoldBoundarySample, SphereModel, cap_boundary_sample,
                          cap_query_points)
-from .solver import (NegativeWeightPolicy, RhsMode, SolveDiagnostics, SolverConfig,
-                     WeightSolution, indicator_values)
+from .solver import NegativeWeightPolicy, RhsMode, SolverConfig, double_layer
 from .tube import build_tube, integrate_codim, sample_normal_sphere
 
 _POLICIES = {
@@ -66,8 +65,11 @@ def _interior(spec, count, seed, eps, margin, args) -> PointCloud:
 
 
 def _cap_queries(spec, count, seed, eps, margin, args):
-    return (cap_query_points(args.alpha, count, seed, side="interior"),
-            cap_query_points(args.alpha, count, seed + 1, side="exterior"))
+    if args.queries_path:
+        raise SurfquadError("s2-cap draws its interior and exterior queries from --alpha "
+                            "and --margin; it reads no --queries file")
+    return (cap_query_points(args.alpha, count, seed, side="interior", margin=margin),
+            cap_query_points(args.alpha, count, seed + 1, side="exterior", margin=margin))
 
 
 def _solve_closed(sample, queries, args, config):
@@ -131,21 +133,6 @@ def _tube_total(f, tau, meta) -> float:
     return integrate_codim(np.ones(len(tau) // q) if f is None else f, tau, dirs)
 
 
-def _euclidean_indicator(record, queries, args) -> np.ndarray:
-    sol = WeightSolution(mu=record.tau[:, None] * record.normals, tau=record.tau,
-                         residual_norm=0.0,
-                         diagnostics=SolveDiagnostics(0, len(record.tau), 0.0, 0),
-                         offset=record.offset)
-    kc = KernelConfig(queries.dim, args.softening)
-    return indicator_values(queries, PointCloud(record.points), sol, kc)
-
-
-def _cap_indicator(record, queries, args) -> np.ndarray:
-    """-sum_j g(grad G(p, q_j), N_j) tau_j + c on the sphere."""
-    chi = SphereModel().double_layer(queries.points, record.points, record.normals, record.tau)
-    return chi if record.offset is None else chi + record.offset
-
-
 @dataclass(frozen=True)
 class _Fixture:
     """A synthetic sample of one construction, with its reference values."""
@@ -172,7 +159,8 @@ class _Pipeline:
     tag: Callable = lambda built, eps: ""           # weight-file header tags
     domain: Callable = _closed_domain  # (weight record, sample) -> integrand points
     total: Callable = _weighted_sum    # (f at domain points or None for 1, tau, meta) -> integral
-    indicator: Callable = _euclidean_indicator      # (weight record, queries, args)
+    # (args, ambient dim) -> the double-layer field the indicator evaluates
+    field: Callable = lambda args, dim: KernelConfig(dim, args.softening).field
     policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
     note: str = ""         # extra `weights` report line, formatted with eps
     # `study` defaults where they differ from `weights`
@@ -197,9 +185,7 @@ _PIPELINES = {
         tag=lambda collar, eps: f"collar eps={eps:.17g}",
         domain=_collar_domain,
         total=_half_sum,
-        # sign-flip noise between the near-antiparallel faces is orientation
-        # noise, not scale noise: keep magnitudes by default
-        policy=NegativeWeightPolicy.KEEP,
+        policy=COLLAR_SOLVER_DEFAULTS.negative_weight_policy,
         note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
     "tube": _Pipeline(
         solve=_solve_tube, query_count=lambda s, a: 2 * len(s),
@@ -211,13 +197,14 @@ _PIPELINES = {
         domain=_tube_domain, total=_tube_total),
     "s2-cap": _Pipeline(
         solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap, write=_write_cap,
-        queries=_cap_queries, tag=lambda built, eps: "manifold=s2", indicator=_cap_indicator),
+        queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
+        field=lambda args, dim: SphereModel().field),
 }
 
 _FIXTURES = {
     "sphere": _Fixture("closed", lambda a, n: gen_fibonacci_sphere(n), lambda a: sphere_spec()),
     "sphere-nd": _Fixture("closed", lambda a, n: gen_sphere_nd(n, a.dim, a.seed),
-                          lambda a: sphere_spec()),
+                          lambda a: sphere_spec(a.dim)),
     "ellipsoid": _Fixture("closed", lambda a, n: gen_ellipsoid(a.a, a.b, a.c, n, a.seed),
                           lambda a: ellipsoid_spec(a.a, a.b, a.c)),
     "hemisphere": _Fixture("collar", lambda a, n: gen_hemisphere(n),
@@ -319,7 +306,11 @@ def cmd_indicator(args) -> int:
     if record.normals is None:
         raise SurfquadError("indicator evaluation needs a weight file with normals")
     queries = textio.read_cloud(args.queries_path)
-    chi = _pipeline_of(record).indicator(record, queries, args)
+    field = _pipeline_of(record).field(args, queries.dim)
+    chi = double_layer(field, queries.points, record.points,
+                       record.tau[:, None] * record.normals, summed=True)
+    if record.offset is not None:
+        chi += record.offset
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i+1}" for i in range(queries.dim)] + ["chi"])

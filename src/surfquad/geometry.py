@@ -12,6 +12,8 @@ import numpy as np
 from scipy import integrate
 from scipy.spatial import cKDTree
 
+from .kernel import unit_sphere_measure
+
 UNIT_NORMAL_TOL = 1e-12
 FRAME_ORTHO_TOL = 1e-10
 
@@ -142,7 +144,6 @@ class SurfaceSpec:
     kind: SurfaceKind
     analytic_area: float
     radii: tuple = (1.0, 1.0, 1.0)
-    cap_angle: float | None = None
     analytic_integrals: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -188,13 +189,15 @@ def evaluate_integrand(name: str, points: np.ndarray) -> np.ndarray:
 
 # --- fixture specs -----------------------------------------------------------
 
-def sphere_spec() -> SurfaceSpec:
-    """Unit sphere S^2 in R^3."""
-    area = 4.0 * np.pi
+def sphere_spec(n: int = 3) -> SurfaceSpec:
+    """Unit sphere S^{n-1} in R^n; its radii carry the ambient dimension."""
+    if n < 3:
+        raise ValueError("ambient dimension must be at least 3")
+    area = unit_sphere_measure(n)
     ints = {"const1": area, "x": 0.0, "y": 0.0, "z": 0.0,
-            "x2": area / 3.0, "y2": area / 3.0, "z2": area / 3.0,
+            "x2": area / n, "y2": area / n, "z2": area / n,
             "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    return SurfaceSpec(SurfaceKind.SPHERE, area, analytic_integrals=ints)
+    return SurfaceSpec(SurfaceKind.SPHERE, area, radii=(1.0,) * n, analytic_integrals=ints)
 
 
 def _ellipsoid_area(a: float, b: float, c: float) -> float:
@@ -248,7 +251,7 @@ def s2_cap_spec(alpha: float) -> SurfaceSpec:
     ints = {"const1": length, "x": 0.0, "y": 0.0, "z": np.cos(alpha) * length,
             "x2": np.pi * rho ** 3, "y2": np.pi * rho ** 3, "z2": np.cos(alpha) ** 2 * length,
             "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    return SurfaceSpec(SurfaceKind.S2_CAP, length, cap_angle=alpha, analytic_integrals=ints)
+    return SurfaceSpec(SurfaceKind.S2_CAP, length, analytic_integrals=ints)
 
 
 # --- generators --------------------------------------------------------------
@@ -352,9 +355,9 @@ def interior_queries(spec: SurfaceSpec, count: int, seed: int,
 
     For sphere/ellipsoid the region is the enclosed volume. For hemisphere
     and circle_r3 the region is the collar (resp. tube) solid of thickness
-    ``epsilon``, which must be supplied. For s2_cap the region is the polar
-    cap on S^2 itself and the margin is geodesic. The default margin is half
-    the region's inradius.
+    ``epsilon``, which must be supplied. The default margin is half the
+    region's inradius. Caps on S^2 draw their queries with
+    ``riemannian.cap_query_points``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -364,7 +367,7 @@ def interior_queries(spec: SurfaceSpec, count: int, seed: int,
         m = 0.5 if margin is None else margin
         if not 0.0 < m < 1.0:
             raise ValueError("margin must lie in (0, 1) for the unit sphere")
-        return PointCloud(_uniform_ball(rng, count, 3) * (1.0 - m))
+        return PointCloud(_uniform_ball(rng, count, len(spec.radii)) * (1.0 - m))
 
     if spec.kind is SurfaceKind.ELLIPSOID:
         a, b, c = spec.radii
@@ -400,12 +403,5 @@ def interior_queries(spec: SurfaceSpec, count: int, seed: int,
         ring = (1.0 + rho * np.cos(phi))
         pts = np.column_stack([ring * np.cos(theta), ring * np.sin(theta), rho * np.sin(phi)])
         return PointCloud(pts)
-
-    if spec.kind is SurfaceKind.S2_CAP:
-        alpha = spec.cap_angle
-        m = 0.5 * alpha if margin is None else margin
-        if not 0.0 < m < alpha:
-            raise ValueError("geodesic margin must lie in (0, alpha)")
-        return PointCloud(_uniform_cap_points(rng, count, np.cos(alpha - m), 1.0))
 
     raise ValueError(f"no interior-query rule for fixture kind {spec.kind}")

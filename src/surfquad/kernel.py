@@ -27,6 +27,10 @@ class KernelConfig:
         if self.softening < 0:
             raise ValueError("softening width must be nonnegative")
 
+    def field(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The double-layer kernel block K(x_i, y_j), shape (N_X, N_Y, n)."""
+        return double_layer_block(queries, points, self)
+
 
 def unit_sphere_measure(n: int) -> float:
     """(n-1)-dimensional measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""

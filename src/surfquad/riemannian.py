@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegeneratePairError
 from .geometry import PointCloud
-from .solver import QUERY_CHUNK, IndicatorSystem, SystemLayout
+from .solver import IndicatorSystem, SystemLayout, double_layer
 
 TANGENT_TOL = 1e-10
 _PAIR_TOL = 1e-14
@@ -50,21 +50,11 @@ def s2_green_gradient(p, q) -> np.ndarray:
 
 
 class SphereModel:
-    """Round unit sphere S^2 embedded in R^3; owns its double-layer kernel block."""
+    """Round unit sphere S^2 embedded in R^3; supplies its double-layer field."""
 
-    def double_layer(self, queries: np.ndarray, points: np.ndarray, conormals: np.ndarray,
-                     tau: np.ndarray | None = None) -> np.ndarray:
-        """Rows -g(grad G(p_i, q_j), N_j) over query points p_i, or their products with tau.
-
-        Built in query chunks, so with tau the full row block never exists.
-        """
-        out = np.empty((len(queries), len(points)) if tau is None else len(queries))
-        for lo in range(0, len(queries), QUERY_CHUNK):
-            hi = min(lo + QUERY_CHUNK, len(queries))
-            grads = s2_green_gradient(queries[lo:hi], points)
-            rows = -np.einsum("ijk,jk->ij", grads, conormals)
-            out[lo:hi] = rows if tau is None else rows @ tau
-        return out
+    def field(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """-grad G(p_i, q_j) over query points p_i, shape (N_P, N_Q, 3)."""
+        return -s2_green_gradient(queries, points)
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def continuous_cap_indicator(p, alpha: float, quadrature_count: int) -> float:
         raise ValueError("quadrature_count must be positive")
     nodes = cap_boundary_sample(alpha, quadrature_count)
     p = np.asarray(p, dtype=float).reshape(1, 3)
-    row = SphereModel().double_layer(p, nodes.points, nodes.conormals)[0]
+    row = double_layer(SphereModel().field, p, nodes.points, nodes.conormals)[0]
     circumference = 2.0 * np.pi * np.sin(alpha)
     return float(np.mean(row) * circumference)
 
@@ -166,7 +156,7 @@ def assemble_riemann_system(interior_queries: PointCloud, exterior_queries: Poin
     if len(interior_queries) < 1 or len(exterior_queries) < 1:
         raise ValueError("need at least one interior and one exterior query")
     queries = np.vstack([interior_queries.points, exterior_queries.points])
-    A = model.double_layer(queries, sample.points, sample.conormals)
+    A = double_layer(model.field, queries, sample.points, sample.conormals)
     A = np.hstack([A, np.ones((A.shape[0], 1))])
     rhs = np.concatenate([np.ones(len(interior_queries)), np.zeros(len(exterior_queries))])
     return IndicatorSystem(A, rhs, SystemLayout.OFFSET_AUGMENTED, len(sample))

@@ -15,10 +15,9 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (ClampedMassWarning, IllPosedSystemError, NegativeWeightError,
-                     SingularEvaluationError)
+from .errors import ClampedMassWarning, IllPosedSystemError, NegativeWeightError
 from .geometry import OrientedSample, PointCloud
-from .kernel import KernelConfig, double_layer_block
+from .kernel import KernelConfig
 
 # queries per assembly chunk; bounds the (chunk, N_Y, n) kernel block memory
 QUERY_CHUNK = 256
@@ -124,31 +123,45 @@ def _rhs_values(rhs_mode, count: int) -> np.ndarray:
     return vals
 
 
+def double_layer(field, queries: np.ndarray, points: np.ndarray,
+                 vectors: np.ndarray | None = None, summed: bool = False) -> np.ndarray:
+    """Double-layer potential of a kernel field, built in chunks of QUERY_CHUNK queries.
+
+    field(chunk, points) returns the kernel block K, shape (chunk, N, n).
+    Without vectors the result is K's rows over columns (j, k); with vectors
+    v_j it is the rows sum_k K_ijk v_jk, or with summed their sums over j.
+    """
+    if queries.shape[1] != points.shape[1]:
+        raise ValueError("queries and sample must share an ambient dimension")
+    m = len(queries)
+    if vectors is None:
+        out = np.empty((m, points.size))
+    else:
+        out = np.empty(m if summed else (m, len(points)))
+        subscripts = "ijk,jk->i" if summed else "ijk,jk->ij"
+    # each block goes straight into its reduction: a name bound to it would
+    # keep the previous chunk's block alive while the next one is built
+    for lo in range(0, m, QUERY_CHUNK):
+        chunk = queries[lo:lo + QUERY_CHUNK]
+        if vectors is None:
+            out[lo:lo + len(chunk)] = field(chunk, points).reshape(len(chunk), -1)
+        else:
+            out[lo:lo + len(chunk)] = np.einsum(subscripts, field(chunk, points), vectors)
+    return out
+
+
 def assemble_vector_system(queries: PointCloud, sample: PointCloud,
                            config: KernelConfig, rhs_mode=RhsMode.INTERIOR_ONE) -> IndicatorSystem:
     """Rows K(x_i, y_j)_k over columns (j, k); unknowns are the mu_jk."""
-    if queries.dim != sample.dim:
-        raise ValueError("queries and sample must share an ambient dimension")
-    X, Y = queries.points, sample.points
-    n, n_y = sample.dim, len(sample)
-    A = np.empty((len(queries), n * n_y))
-    for lo in range(0, len(queries), QUERY_CHUNK):
-        hi = min(lo + QUERY_CHUNK, len(queries))
-        A[lo:hi] = double_layer_block(X[lo:hi], Y, config).reshape(hi - lo, n * n_y)
+    A = double_layer(config.field, queries.points, sample.points)
     return IndicatorSystem(A, _rhs_values(rhs_mode, len(queries)),
-                           SystemLayout.VECTOR_UNKNOWNS, n_y)
+                           SystemLayout.VECTOR_UNKNOWNS, len(sample))
 
 
 def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
                            config: KernelConfig, rhs_mode=RhsMode.INTERIOR_ONE) -> IndicatorSystem:
     """Rows dot(K(x_i, y_j), N(y_j)); unknowns are the scalars tau_j."""
-    if queries.dim != sample.dim:
-        raise ValueError("queries and sample must share an ambient dimension")
-    X, Y, N = queries.points, sample.points, sample.normals
-    A = np.empty((len(queries), len(sample)))
-    for lo in range(0, len(queries), QUERY_CHUNK):
-        hi = min(lo + QUERY_CHUNK, len(queries))
-        A[lo:hi] = np.einsum("ijk,jk->ij", double_layer_block(X[lo:hi], Y, config), N)
+    A = double_layer(config.field, queries.points, sample.points, sample.normals)
     return IndicatorSystem(A, _rhs_values(rhs_mode, len(queries)),
                            SystemLayout.SCALAR_UNKNOWNS, len(sample))
 
@@ -237,28 +250,8 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
 def indicator_values(queries: PointCloud, sample: PointCloud,
                      solution: WeightSolution, config: KernelConfig) -> np.ndarray:
     """Recovered indicator sum_j dot(K(x, y_j), mu_j) (+ offset) at each query."""
-    if queries.dim != sample.dim:
-        raise ValueError("queries and sample must share an ambient dimension")
-    X, Y = queries.points, sample.points
-    out = np.empty(len(queries))
-    for lo in range(0, len(queries), QUERY_CHUNK):
-        hi = min(lo + QUERY_CHUNK, len(queries))
-        out[lo:hi] = np.einsum("ijk,jk->i", double_layer_block(X[lo:hi], Y, config),
-                               solution.mu)
-    if solution.offset is not None:
-        out += solution.offset
-    return out
-
-
-def evaluate_indicator(x, sample: PointCloud, solution: WeightSolution,
-                       config: KernelConfig) -> float:
-    """Indicator estimate at a single point."""
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    try:
-        return float(indicator_values(PointCloud(pt), sample, solution, config)[0])
-    except SingularEvaluationError:
-        raise SingularEvaluationError(
-            "indicator requested at a sample point with zero softening") from None
+    out = double_layer(config.field, queries.points, sample.points, solution.mu, summed=True)
+    return out if solution.offset is None else out + solution.offset
 
 
 def integrate_function(f_values: np.ndarray, solution: WeightSolution) -> float:

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import normal_equations_solve
 from surfquad.collar import CollarConfig, build_collar, integrate_with_boundary
+from surfquad.errors import ClampedMassWarning
 from surfquad.geometry import (PointCloud, gen_circle_r3, gen_fibonacci_sphere,
                                gen_hemisphere, hemisphere_spec, interior_queries,
                                median_nn_spacing, sphere_spec)
@@ -137,7 +138,9 @@ def test_criterion_6_collar_pipeline():
     eps = 2.0 * median_nn_spacing(hemi.cloud)
     collar = build_collar(hemi, CollarConfig(eps))
     queries = interior_queries(hemisphere_spec(), 2000, seed=3, epsilon=eps)
-    result = solve_collar(collar, queries)
+    # the default flip carries 3.4% of the kept mass here (ROADMAP item 1)
+    with pytest.warns(ClampedMassWarning, match="flipping"):
+        result = solve_collar(collar, queries)
     area = integrate_with_boundary(np.ones(2000), result.front_tau, result.back_tau)
     rel = abs(area - 2 * np.pi) / (2 * np.pi)
     ok = rel <= 0.05

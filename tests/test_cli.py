@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from surfquad import textio
+from surfquad.errors import ClampedMassWarning
+from surfquad.geometry import PointCloud
 from surfquad.cli import main
 
 
@@ -57,9 +59,10 @@ def test_weights_closed_sphere(tmp_path, capsys):
 def test_weights_collar_doubles_rows(tmp_path):
     s, w = tmp_path / "h.txt", tmp_path / "w.txt"
     run(["generate", "--fixture", "hemisphere", "--count", 300, "-o", s])
-    assert run(["weights", "--pipeline", "collar", "--sample", s,
-                "--fixture", "hemisphere", "--query-count", 300,
-                "--query-seed", 3, "-o", w]) == 0
+    with pytest.warns(ClampedMassWarning, match="flipping"):
+        assert run(["weights", "--pipeline", "collar", "--sample", s,
+                    "--fixture", "hemisphere", "--query-count", 300,
+                    "--query-seed", 3, "-o", w]) == 0
     rec = textio.read_weights(w)
     assert len(rec.tau) == 600
     assert "eps" in rec.meta and "collar" in rec.flags
@@ -74,6 +77,54 @@ def test_weights_s2_cap_reports_offset(tmp_path, capsys):
     assert "offset c" in capsys.readouterr().out
     rec = textio.read_weights(w)
     assert rec.offset == pytest.approx(0.25, abs=0.05)
+
+
+def test_weights_s2_cap_honours_margin(tmp_path):
+    from surfquad.pipelines import solve_manifold_boundary
+    from surfquad.riemannian import ManifoldBoundarySample, SphereModel, cap_query_points
+
+    s, w, w_margin = tmp_path / "cap.txt", tmp_path / "w.txt", tmp_path / "wm.txt"
+    alpha = np.pi / 3
+    run(["generate", "--fixture", "s2-cap", "--alpha", alpha, "--count", 200, "-o", s])
+    for out, extra in ((w, []), (w_margin, ["--margin", 0.05])):
+        assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--alpha", alpha,
+                    "--query-count", 40, "--query-seed", 2, "-o", out, *extra]) == 0
+    assert w.read_bytes() != w_margin.read_bytes()
+    # the weights are those of the library solve at the requested margin
+    sample = textio.read_oriented(s)
+    sol = solve_manifold_boundary(
+        ManifoldBoundarySample(sample.cloud, sample.normals), SphereModel(),
+        cap_query_points(alpha, 40, 2, side="interior", margin=0.05),
+        cap_query_points(alpha, 40, 3, side="exterior", margin=0.05))
+    assert np.array_equal(textio.read_weights(w_margin).tau, sol.tau)
+
+
+def test_s2_cap_rejects_query_files(tmp_path, capsys):
+    s, q, w = tmp_path / "cap.txt", tmp_path / "q.txt", tmp_path / "w.txt"
+    assert run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s,
+                "--queries", q]) == 1
+    assert not q.exists()
+    assert "no interior-query rule" in capsys.readouterr().err
+    textio.write_cloud(q, PointCloud(np.eye(3)))
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--queries", q,
+                "-o", w]) == 1
+    assert "reads no --queries file" in capsys.readouterr().err
+    assert not w.exists()
+
+
+def test_sphere_nd_fixture_lives_in_rn(tmp_path, capsys):
+    s, q, w = tmp_path / "s.txt", tmp_path / "q.txt", tmp_path / "w.txt"
+    assert run(["generate", "--fixture", "sphere-nd", "--dim", 4, "--count", 400,
+                "--seed", 2, "-o", s, "--queries", q]) == 0
+    assert textio.read_cloud(q).dim == 4
+    # random points on S^3 do not resolve the indicator at 400 samples
+    with pytest.warns(ClampedMassWarning, match="clamping"):
+        assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere-nd",
+                    "--dim", 4, "-o", w]) == 0
+    capsys.readouterr()
+    assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere-nd",
+                "--dim", 4]) == 0
+    assert "reference = 19.7392088" in capsys.readouterr().out
 
 
 def test_integrate_sphere_reference(tmp_path, capsys):
@@ -106,8 +157,10 @@ def test_integrate_tube_length(tmp_path, capsys):
 def test_integrate_unknown_integrand_rejected(tmp_path, capsys):
     s, w = tmp_path / "s.txt", tmp_path / "w.txt"
     run(["generate", "--fixture", "sphere", "--count", 50, "-o", s])
-    run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
-         "--query-count", 50, "-o", w])
+    # 50 points do not resolve the sphere: the set-up solve clamps real mass
+    with pytest.warns(ClampedMassWarning, match="clamping"):
+        run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
+             "--query-count", 50, "-o", w])
     with pytest.raises(SystemExit):
         run(["integrate", "--sample", s, "--weights", w, "--integrand", "bogus"])
 
@@ -116,8 +169,9 @@ def test_integrate_mismatched_files_error(tmp_path):
     s1, s2, w = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "w.txt"
     run(["generate", "--fixture", "sphere", "--count", 50, "-o", s1])
     run(["generate", "--fixture", "sphere", "--count", 60, "-o", s2])
-    run(["weights", "--pipeline", "closed", "--sample", s1, "--fixture", "sphere",
-         "--query-count", 50, "-o", w])
+    with pytest.warns(ClampedMassWarning, match="clamping"):
+        run(["weights", "--pipeline", "closed", "--sample", s1, "--fixture", "sphere",
+             "--query-count", 50, "-o", w])
     assert run(["integrate", "--sample", s2, "--weights", w]) == 1
 
 
@@ -144,7 +198,6 @@ def test_indicator_on_cap_weights_uses_sphere_field(tmp_path):
     run(["weights", "--pipeline", "s2-cap", "--sample", s, "--alpha", alpha,
          "--query-count", 40, "--query-seed", 2, "-o", w])
     # probe both sides: indicator should be ~1 inside the cap, ~0 outside
-    from surfquad.geometry import PointCloud
     from surfquad.riemannian import cap_query_points
 
     probes = np.vstack([cap_query_points(alpha, 5, seed=9, side="interior").points,

@@ -112,7 +112,8 @@ def test_hemisphere_pipeline_half_sum_area():
     eps = default_epsilon(hemi)
     collar = build_collar(hemi, CollarConfig(eps))
     queries = interior_queries(hemisphere_spec(), 2000, seed=3, epsilon=eps)
-    result = solve_collar(collar, queries)
+    with pytest.warns(ClampedMassWarning, match="flipping"):
+        result = solve_collar(collar, queries)
     area = integrate_with_boundary(np.ones(2000), result.front_tau, result.back_tau)
     assert area == pytest.approx(2.0 * np.pi, rel=0.05)
 

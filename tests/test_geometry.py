@@ -181,6 +181,15 @@ def test_sphere_spec_values():
     assert spec.analytic_integrals["z2"] == pytest.approx(4.0 * np.pi / 3.0)
 
 
+def test_sphere_spec_in_r4():
+    spec = sphere_spec(4)
+    assert spec.analytic_area == pytest.approx(2.0 * np.pi ** 2, rel=1e-15)
+    assert spec.analytic_integrals["x2"] == pytest.approx(np.pi ** 2 / 2.0, rel=1e-15)
+    q = interior_queries(spec, 100, seed=5)
+    assert q.dim == 4
+    assert np.max(np.linalg.norm(q.points, axis=1)) <= 0.5 + 1e-12
+
+
 def test_ellipsoid_spec_matches_sphere_case():
     assert ellipsoid_spec(1, 1, 1).analytic_area == pytest.approx(4.0 * np.pi, rel=1e-9)
 
@@ -260,17 +269,11 @@ def test_circle_tube_membership():
     assert np.max(dist) <= eps / 2 + 1e-12  # margin = half inradius of the tube
 
 
-def test_cap_interior_membership():
-    alpha = np.pi / 3
-    q = interior_queries(s2_cap_spec(alpha), 200, seed=8)
-    theta = np.arccos(np.clip(q.points[:, 2], -1, 1))
-    assert np.max(theta) <= alpha / 2 + 1e-12
-    assert np.max(np.abs(np.linalg.norm(q.points, axis=1) - 1.0)) < 1e-12
-
-
 def test_queries_without_interior_rejected():
     with pytest.raises(ValueError):
         interior_queries(hemisphere_spec(), 10, seed=0)  # no collar epsilon
+    with pytest.raises(ValueError):
+        interior_queries(s2_cap_spec(np.pi / 3), 10, seed=0)  # cap_query_points draws these
     with pytest.raises(ValueError):
         interior_queries(circle_r3_spec(), 10, seed=0)  # no tube epsilon
 

@@ -12,8 +12,7 @@ from surfquad.kernel import KernelConfig
 from surfquad.solver import (IndicatorSystem, NegativeWeightPolicy, RhsMode,
                              SolverConfig, SystemLayout, _tikhonov_solve,
                              assemble_scalar_system, assemble_vector_system,
-                             evaluate_indicator, indicator_values,
-                             integrate_function, solve_weights)
+                             indicator_values, integrate_function, solve_weights)
 
 
 def _scalar_system(A, rhs, count=None):
@@ -138,9 +137,11 @@ def test_solve_weights_matches_oracle_end_to_end():
     rhs = rng.choice([0.0, 0.5, 1.0], size=50)
     system = _scalar_system(A, rhs)
     lam = 1e-3
-    sol = solve_weights(system, SolverConfig(regularization=lam,
-                                             negative_weight_policy=NegativeWeightPolicy.KEEP),
-                        normals=rng.standard_normal((20, 3)))
+    # a random system is no indicator: its flip carries most of the mass
+    with pytest.warns(ClampedMassWarning, match="flipping"):
+        sol = solve_weights(system, SolverConfig(regularization=lam,
+                                                 negative_weight_policy=NegativeWeightPolicy.KEEP),
+                            normals=rng.standard_normal((20, 3)))
     oracle = normal_equations_solve(A, rhs, lam)
     assert np.linalg.norm(sol.tau - np.abs(oracle)) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -225,16 +226,20 @@ def test_auto_regularization_recorded():
 
 # --- indicator and integration -----------------------------------------------
 
+def _indicator_at(x, sample, solution):
+    """indicator_values on a one-point query cloud."""
+    return indicator_values(PointCloud(x), sample.cloud, solution, KernelConfig(3))[0]
+
+
 def test_indicator_exact_at_origin(exact_sphere_weights):
     sample, solution = exact_sphere_weights(1000)
-    val = evaluate_indicator(np.zeros(3), sample.cloud, solution, KernelConfig(3))
+    val = _indicator_at(np.zeros(3), sample, solution)
     assert abs(val - 1.0) < 1e-12
 
 
 def test_indicator_far_field_small(exact_sphere_weights):
     sample, solution = exact_sphere_weights(2000)
-    val = evaluate_indicator(np.array([10.0, 0.0, 0.0]), sample.cloud, solution,
-                             KernelConfig(3))
+    val = _indicator_at(np.array([10.0, 0.0, 0.0]), sample, solution)
     assert abs(val) < 0.01
 
 
@@ -243,14 +248,14 @@ def test_indicator_boundary_half(exact_sphere_weights):
     # midpoint of two nearby lattice points, projected back to the sphere
     mid = sample.points[1000] + sample.points[1013]
     mid /= np.linalg.norm(mid)
-    val = evaluate_indicator(mid, sample.cloud, solution, KernelConfig(3))
+    val = _indicator_at(mid, sample, solution)
     assert abs(val - 0.5) < 0.1
 
 
 def test_indicator_singular_at_sample_point(exact_sphere_weights):
     sample, solution = exact_sphere_weights(100)
     with pytest.raises(SingularEvaluationError):
-        evaluate_indicator(sample.points[3], sample.cloud, solution, KernelConfig(3))
+        _indicator_at(sample.points[3], sample, solution)
 
 
 def test_indicator_values_offset_applied(exact_sphere_weights):

@@ -272,11 +272,13 @@ def test_codim1_tube_matches_collar_limit():
 
     from surfquad.pipelines import COLLAR_SOLVER_DEFAULTS
 
-    sol = solve_tube(tube, queries, solver_config=COLLAR_SOLVER_DEFAULTS)
+    with pytest.warns(ClampedMassWarning, match="flipping"):
+        sol = solve_tube(tube, queries, solver_config=COLLAR_SOLVER_DEFAULTS)
     tube_area = integrate_codim(np.ones(1000), sol.tau, dirs)
 
     inner = OrientedSample(PointCloud(sphere.points * (1.0 - eps)), sphere.normals)
     collar = build_collar(inner, CollarConfig(2.0 * eps))
-    res = solve_collar(collar, queries)
+    with pytest.warns(ClampedMassWarning, match="flipping"):
+        res = solve_collar(collar, queries)
     collar_area = integrate_with_boundary(np.ones(1000), res.front_tau, res.back_tau)
     assert abs(tube_area - collar_area) <= 0.02 * collar_area
