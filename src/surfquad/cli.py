@@ -92,8 +92,15 @@ def _solve_tube(tube, queries, args, config):
     return sol, b.points, b.normals
 
 
+def _s2_model(args) -> SphereModel:
+    if args.softening:
+        raise SurfquadError("the S^2 field has no softening; --softening applies "
+                            "to Euclidean kernels only")
+    return SphereModel()
+
+
 def _solve_cap(sample, queries, args, config):
-    return (solve_manifold_boundary(sample, SphereModel(), *queries, config),
+    return (solve_manifold_boundary(sample, _s2_model(args), *queries, config),
             sample.points, sample.conormals)
 
 
@@ -198,7 +205,7 @@ _PIPELINES = {
     "s2-cap": _Pipeline(
         solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap, write=_write_cap,
         queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
-        field=lambda args, dim: SphereModel().field),
+        field=lambda args, dim: _s2_model(args).field),
 }
 
 _FIXTURES = {
@@ -266,6 +273,7 @@ def cmd_generate(args) -> int:
 
 
 def _report_solution(sol):
+    print(f"solver path:     {sol.diagnostics.path}")
     print(f"residual norm:   {sol.residual_norm:.6g}")
     print(f"sum of elements: {sol.tau.sum():.8g}")
     print(f"negative raw weights: {sol.diagnostics.negative_count}")
@@ -354,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common_numeric(p):
         p.add_argument("--softening", type=float, default=0.0,
-                       help="kernel softening width w (default 0: exact kernel)")
+                       help="Euclidean kernel softening width w (default 0: exact kernel)")
         p.add_argument("--lambda", dest="regularization", type=float, default=None,
                        help="Tikhonov weight (default: 1e-6 * max|A|)")
         p.add_argument("--rhs-mode", choices=sorted(_RHS_MODES), default="one")
@@ -407,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ind.add_argument("--weights", dest="weights_path", required=True)
     ind.add_argument("--queries", dest="queries_path", required=True)
     ind.add_argument("-o", "--output", required=True)
-    ind.add_argument("--softening", type=float, default=0.0)
+    ind.add_argument("--softening", type=float, default=0.0,
+                     help="Euclidean kernel softening width w (default 0: exact kernel)")
     ind.set_defaults(run=cmd_indicator)
 
     st = sub.add_parser("study", help="convergence sweep with CSV output")

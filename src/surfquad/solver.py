@@ -3,8 +3,18 @@
 Vector systems carry one R^n unknown mu_j per sample point (columns grouped
 per point); scalar systems use known normals and solve for the elements
 tau_j directly. The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2 through
-a QR factorization of the regularization-stacked matrix (economy SVD when
-the system is wide); plain least squares (lambda = 0) uses an SVD-backed
+one Householder QR of a lambda-stacked matrix, built in Fortran order so that
+LAPACK factors it in place and Q is never formed, at O(max(m, n) min(m, n)^2):
+
+- tall (m >= n): [A; lambda I] = Q R, with Q^T [b; 0] applied during the
+  factorization, and w = R^-1 Q^T [b; 0];
+- wide (m < n): [A^T; lambda I] = Q R, so R^T R = A A^T + lambda^2 I and
+  w = A^T R^-1 R^-T b.
+
+Neither path forms the Gram matrix A A^T + lambda^2 I: its Cholesky is
+faster on wide systems but squares the condition number, and at the
+production lambda it fails as "not positive definite" on S^2 cap systems.
+Neither needs an SVD. Plain least squares (lambda = 0) uses an SVD-backed
 solve with a rank check.
 """
 
@@ -90,13 +100,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """What a solve did; removed_mass is sum |raw| over negative raw scalar weights."""
+    """What a solve did; removed_mass is sum |raw| over negative raw scalar weights.
+
+    path names the factorization: "tall-qr", "wide-qr" or "lstsq" (lambda = 0).
+    """
 
     rows: int
     cols: int
     regularization: float
     negative_count: int
     removed_mass: float = 0.0
+    path: str = ""
 
 
 @dataclass(frozen=True)
@@ -166,23 +180,35 @@ def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
                            SystemLayout.SCALAR_UNKNOWNS, len(sample))
 
 
+def _solver_path(shape: tuple[int, int], lam: float) -> str:
+    """The factorization _tikhonov_solve uses for a matrix of this shape."""
+    if lam <= 0.0:
+        return "lstsq"
+    return "tall-qr" if shape[0] >= shape[1] else "wide-qr"
+
+
 def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    if lam > 0.0:
-        m, n = A.shape
-        if m >= n:
-            stacked = np.vstack([A, lam * np.eye(n)])
-            b_aug = np.concatenate([b, np.zeros(n)])
-            Q, R = sla.qr(stacked, mode="economic")
-            return sla.solve_triangular(R, Q.T @ b_aug)
-        # wide system: economy SVD costs O(m^2 n) instead of QR's O(m n^2)
-        U, s, Vt = sla.svd(A, full_matrices=False)
-        factors = s / (s * s + lam * lam)
-        return Vt.T @ (factors * (U.T @ b))
-    w, _, rank, _ = sla.lstsq(A, b, lapack_driver="gelsd")
-    if rank < A.shape[1]:
-        raise IllPosedSystemError(
-            f"system has rank {rank} < {A.shape[1]} unknowns and no regularization")
-    return w
+    path = _solver_path(A.shape, lam)
+    if path == "lstsq":
+        w, _, rank, _ = sla.lstsq(A, b, lapack_driver="gelsd")
+        if rank < A.shape[1]:
+            raise IllPosedSystemError(
+                f"system has rank {rank} < {A.shape[1]} unknowns and no regularization")
+        return w
+    # [M; lam I] with M = A (tall) or A^T (wide), in Fortran order so that
+    # LAPACK overwrites it with the factorization instead of copying it
+    M = A if path == "tall-qr" else A.T
+    rows, k = M.shape
+    stacked = np.zeros((rows + k, k), order="F")
+    stacked[:rows] = M
+    np.fill_diagonal(stacked[rows:], lam)
+    if path == "tall-qr":
+        qtb, R = sla.qr_multiply(stacked, np.concatenate([b, np.zeros(k)]),
+                                 mode="right", overwrite_a=True)
+        return sla.solve_triangular(R, qtb)
+    # R^T R = A A^T + lam^2 I, so w = A^T (A A^T + lam^2 I)^-1 b
+    _, R = sla.qr(stacked, mode="raw", overwrite_a=True)
+    return A.T @ sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T"))
 
 
 def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
@@ -206,7 +232,8 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
         raise ValueError("system must have at least one row")
     lam = config.regularization
     if lam is None:
-        scale = float(np.max(np.abs(A))) if A.size else 0.0
+        # max|A| without the |A| temporary, which is as large as A
+        scale = float(max(A.max(), -A.min())) if A.size else 0.0
         lam = _AUTO_SCALE * scale
 
     w = _tikhonov_solve(A, b, lam)
@@ -242,7 +269,8 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
         mu = tau[:, None] * normals
 
     diag = SolveDiagnostics(rows=A.shape[0], cols=A.shape[1], regularization=lam,
-                            negative_count=negative, removed_mass=removed)
+                            negative_count=negative, removed_mass=removed,
+                            path=_solver_path(A.shape, lam))
     return WeightSolution(mu=mu, tau=tau, residual_norm=residual,
                           diagnostics=diag, offset=offset)
 

@@ -51,6 +51,8 @@ def test_weights_closed_sphere(tmp_path, capsys):
                 "--query-count", 200, "--query-seed", 3, "-o", w]) == 0
     out = capsys.readouterr().out
     assert "sum of elements" in out
+    # 200 queries against 400 unknowns: a wide system
+    assert "solver path:     wide-qr\n" in out
     assert re.search(r"negative raw weights: \d+\nremoved mass: +\d", out)
     rec = textio.read_weights(w)
     assert rec.tau.sum() == pytest.approx(4.0 * np.pi, rel=0.02)
@@ -74,7 +76,9 @@ def test_weights_s2_cap_reports_offset(tmp_path, capsys):
     run(["generate", "--fixture", "s2-cap", "--alpha", alpha, "--count", 200, "-o", s])
     assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--alpha", alpha,
                 "--query-count", 40, "--query-seed", 2, "-o", w]) == 0
-    assert "offset c" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "offset c" in out
+    assert "solver path:     wide-qr\n" in out
     rec = textio.read_weights(w)
     assert rec.offset == pytest.approx(0.25, abs=0.05)
 
@@ -110,6 +114,17 @@ def test_s2_cap_rejects_query_files(tmp_path, capsys):
                 "-o", w]) == 1
     assert "reads no --queries file" in capsys.readouterr().err
     assert not w.exists()
+
+
+def test_weights_s2_cap_rejects_softening(tmp_path, capsys):
+    s, w = tmp_path / "cap.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s])
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--query-count", 20,
+                "--softening", 0.3, "-o", w]) == 1
+    assert "no softening" in capsys.readouterr().err
+    assert not w.exists()
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--query-count", 20,
+                "--softening", 0, "-o", w]) == 0
 
 
 def test_sphere_nd_fixture_lives_in_rn(tmp_path, capsys):
@@ -209,6 +224,18 @@ def test_indicator_on_cap_weights_uses_sphere_field(tmp_path):
     chi = np.array([float(r[-1]) for r in rows[1:]])
     assert np.max(np.abs(chi[:5] - 1.0)) < 0.05
     assert np.max(np.abs(chi[5:])) < 0.05
+
+
+def test_indicator_on_cap_weights_rejects_softening(tmp_path, capsys):
+    s, w, q, out = (tmp_path / "cap.txt", tmp_path / "w.txt",
+                    tmp_path / "q.txt", tmp_path / "chi.csv")
+    run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s])
+    run(["weights", "--pipeline", "s2-cap", "--sample", s, "--query-count", 20, "-o", w])
+    textio.write_cloud(q, PointCloud(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])))
+    assert run(["indicator", "--weights", w, "--queries", q, "--softening", 0.3,
+                "-o", out]) == 1
+    assert "no softening" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_study_csv_schema_and_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import normal_equations_solve
 from surfquad.errors import (ClampedMassWarning, IllPosedSystemError, NegativeWeightError,
@@ -9,6 +10,8 @@ from surfquad.errors import (ClampedMassWarning, IllPosedSystemError, NegativeWe
 from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
                                interior_queries, sphere_spec)
 from surfquad.kernel import KernelConfig
+from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
+                                 cap_query_points)
 from surfquad.solver import (IndicatorSystem, NegativeWeightPolicy, RhsMode,
                              SolverConfig, SystemLayout, _tikhonov_solve,
                              assemble_scalar_system, assemble_vector_system,
@@ -119,8 +122,8 @@ def test_tikhonov_matches_normal_equations_oracle(lam, shape):
 
 
 def test_tikhonov_wide_branch_matches_oracle():
-    # wide systems take the SVD route; lam large enough that the
-    # normal-equations oracle itself keeps 10 clean digits
+    # wide systems take the dual QR of [A^T; lam I]; lam large enough that
+    # the normal-equations oracle itself keeps 10 clean digits
     rng = np.random.default_rng(31)
     A = rng.standard_normal((30, 80))
     b = rng.standard_normal(30)
@@ -128,6 +131,54 @@ def test_tikhonov_wide_branch_matches_oracle():
     w = _tikhonov_solve(A, b, lam)
     oracle = normal_equations_solve(A, b, lam)
     assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+def _svd_filter_solve(A, b, lam):
+    """Tikhonov reference through the SVD filter factors s / (s^2 + lam^2)."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return Vt.T @ (s / (s * s + lam * lam) * (U.T @ b))
+
+
+@pytest.mark.parametrize("shape", [(60, 25), (40, 40), (25, 60)])
+def test_tikhonov_matches_svd_reference_at_production_lambda(shape):
+    rng = np.random.default_rng(7 * shape[0] + shape[1])
+    A = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    lam = 1e-6 * np.max(np.abs(A))
+    ref = _svd_filter_solve(A, b, lam)
+    w = _tikhonov_solve(A, b, lam)
+    assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_tikhonov_on_cap_system_where_gram_cholesky_fails():
+    # the s2-cap operating point of the benchmark (alpha = pi/3, N = 2000,
+    # 500 + 500 queries; interior seed 14, exterior seed 15): A has singular
+    # values down to 1e-16, far below lam = 1e-6 max|A|
+    alpha = np.pi / 3
+    system = assemble_riemann_system(cap_query_points(alpha, 500, 14, side="interior"),
+                                     cap_query_points(alpha, 500, 15, side="exterior"),
+                                     cap_boundary_sample(alpha, 2000), SphereModel())
+    A, b = system.matrix, system.rhs
+    lam = 1e-6 * np.max(np.abs(A))
+    ref = _svd_filter_solve(A, b, lam)
+    w = _tikhonov_solve(A, b, lam)
+    assert np.linalg.norm(w - ref) <= 1e-7 * np.linalg.norm(ref)
+    # why the wide path does not factor the Gram matrix: forming it squares
+    # the condition number, and its Cholesky fails in floating point
+    with pytest.raises(np.linalg.LinAlgError):
+        sla.cho_factor(A @ A.T + lam * lam * np.eye(len(A)))
+
+
+@pytest.mark.parametrize("shape, lam, path", [((30, 12), 1e-3, "tall-qr"),
+                                              ((12, 12), 1e-3, "tall-qr"),
+                                              ((12, 30), 1e-3, "wide-qr"),
+                                              ((30, 12), 0.0, "lstsq")])
+def test_solve_reports_solver_path(shape, lam, path):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    A = rng.standard_normal(shape)
+    system = IndicatorSystem(A, np.ones(shape[0]), SystemLayout.VECTOR_UNKNOWNS, shape[1] // 3)
+    sol = solve_weights(system, SolverConfig(regularization=lam))
+    assert sol.diagnostics.path == path
 
 
 def test_solve_weights_matches_oracle_end_to_end():
@@ -222,6 +273,15 @@ def test_auto_regularization_recorded():
     expected = 1e-6 * np.max(np.abs(system.matrix))
     assert sol.diagnostics.regularization == pytest.approx(expected, rel=1e-12)
     assert sol.diagnostics.rows == 60 and sol.diagnostics.cols == 20
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_auto_regularization_is_exactly_scaled_abs_max(sign):
+    # the largest magnitude is an entry of either sign
+    A = sign * np.array([[0.5, -3.0, 1.0], [2.0, 0.25, -1.5]])
+    system = IndicatorSystem(A, np.ones(2), SystemLayout.VECTOR_UNKNOWNS, 1)
+    sol = solve_weights(system)
+    assert sol.diagnostics.regularization == 1e-6 * np.max(np.abs(A))
 
 
 # --- indicator and integration -----------------------------------------------
