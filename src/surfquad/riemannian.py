@@ -52,9 +52,15 @@ def s2_green_gradient(p, q) -> np.ndarray:
 class SphereModel:
     """Round unit sphere S^2 embedded in R^3; supplies its double-layer field."""
 
-    def field(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """-grad G(p_i, q_j) over query points p_i, shape (N_P, N_Q, 3)."""
-        return -s2_green_gradient(queries, points)
+    def field(self, queries: np.ndarray, points: np.ndarray,
+              vectors: np.ndarray | None = None) -> np.ndarray:
+        """-grad G(p_i, q_j) over query points p_i, shape (N_P, N_Q, 3), or with
+        vectors v_j its rows -g(grad G(p_i, q_j), v_j), shape (N_P, N_Q).
+
+        The rows contract the block with einsum; a cap-system solver test pins that rounding.
+        """
+        block = -s2_green_gradient(queries, points)
+        return block if vectors is None else np.einsum("ijk,jk->ij", block, vectors)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ from .errors import ClampedMassWarning, IllPosedSystemError, NegativeWeightError
 from .geometry import OrientedSample, PointCloud
 from .kernel import KernelConfig
 
-# queries per assembly chunk; bounds the (chunk, N_Y, n) kernel block memory
+# queries per evaluator chunk; bounds the memory of a few (chunk, N_Y) arrays
+# on the contracted Euclidean path, and of the (chunk, N_Y, n) kernel block on
+# vector assembly and on the S^2 field
 QUERY_CHUNK = 256
 
 AUTO_REGULARIZATION = None
@@ -141,9 +143,10 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
                  vectors: np.ndarray | None = None, summed: bool = False) -> np.ndarray:
     """Double-layer potential of a kernel field, built in chunks of QUERY_CHUNK queries.
 
-    field(chunk, points) returns the kernel block K, shape (chunk, N, n).
+    field(chunk, points) returns the kernel block K, shape (chunk, N, n), and
+    field(chunk, points, vectors) its rows sum_k K_ijk v_jk, shape (chunk, N).
     Without vectors the result is K's rows over columns (j, k); with vectors
-    v_j it is the rows sum_k K_ijk v_jk, or with summed their sums over j.
+    v_j it is the contracted rows, or with summed their sums over j.
     """
     if queries.shape[1] != points.shape[1]:
         raise ValueError("queries and sample must share an ambient dimension")
@@ -152,15 +155,16 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
         out = np.empty((m, points.size))
     else:
         out = np.empty(m if summed else (m, len(points)))
-        subscripts = "ijk,jk->i" if summed else "ijk,jk->ij"
     # each block goes straight into its reduction: a name bound to it would
     # keep the previous chunk's block alive while the next one is built
     for lo in range(0, m, QUERY_CHUNK):
         chunk = queries[lo:lo + QUERY_CHUNK]
         if vectors is None:
             out[lo:lo + len(chunk)] = field(chunk, points).reshape(len(chunk), -1)
+        elif summed:
+            out[lo:lo + len(chunk)] = field(chunk, points, vectors).sum(axis=1)
         else:
-            out[lo:lo + len(chunk)] = np.einsum(subscripts, field(chunk, points), vectors)
+            out[lo:lo + len(chunk)] = field(chunk, points, vectors)
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from surfquad.errors import SingularEvaluationError
 from surfquad.kernel import (KernelConfig, double_layer_block, double_layer_row,
                              fundamental_solution, unit_sphere_measure)
+from surfquad.solver import QUERY_CHUNK, double_layer
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -106,6 +107,23 @@ def test_exact_gauss_identity(count, exact_sphere_weights):
     rows = double_layer_block(np.zeros((1, 3)), sample.points, cfg)[0]
     total = float(np.einsum("jk,jk->", rows, solution.mu))
     assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("softening", [0.0, 0.3])
+def test_contracted_rows_match_block(n, softening):
+    # more queries than one chunk, so the rows come from two field calls
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((QUERY_CHUNK + 44, n))
+    Y = rng.standard_normal((40, n))
+    V = rng.standard_normal((40, n))
+    cfg = KernelConfig(n, softening)
+    block = double_layer_block(X, Y, cfg)
+    rows = double_layer(cfg.field, X, Y, V)
+    expected = np.einsum("ijk,jk->ij", block, V)
+    assert np.max(np.abs(rows - expected)) <= 1e-14 * np.max(np.abs(expected))
+    sums = double_layer(cfg.field, X, Y, V, summed=True)
+    assert np.max(np.abs(sums - np.einsum("ijk,jk->i", block, V))) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 7.3])

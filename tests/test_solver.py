@@ -87,6 +87,8 @@ def test_assembly_rejects_coincident_points_unsoftened():
     s = PointCloud(np.array([[1.0, 0, 0], [0.0, 1, 0]]))
     with pytest.raises(SingularEvaluationError):
         assemble_vector_system(q, s, KernelConfig(3))
+    with pytest.raises(SingularEvaluationError):
+        assemble_scalar_system(q, OrientedSample(s, np.eye(3)[:2]), KernelConfig(3))
 
 
 def test_assembly_per_row_rhs():
