@@ -28,7 +28,7 @@ from .pipelines import (COLLAR_SOLVER_DEFAULTS, solve_closed_scalar, solve_close
                         solve_collar, solve_manifold_boundary, solve_tube)
 from .riemannian import (ManifoldBoundarySample, SphereModel, cap_boundary_sample,
                          cap_query_points)
-from .solver import NegativeWeightPolicy, RhsMode, SolverConfig, double_layer
+from .solver import NegativeWeightPolicy, SolverConfig, double_layer
 from .tube import build_tube, integrate_codim, sample_normal_sphere
 
 _POLICIES = {
@@ -36,7 +36,6 @@ _POLICIES = {
     "clamp": NegativeWeightPolicy.CLAMP_TO_ZERO,
     "error": NegativeWeightPolicy.ERROR,
 }
-_RHS_MODES = {"half": RhsMode.ON_SURFACE_HALF, "one": RhsMode.INTERIOR_ONE}
 
 
 def _read_cap(path) -> ManifoldBoundarySample:
@@ -73,34 +72,24 @@ def _cap_queries(spec, count, seed, eps, margin, args):
 
 
 def _solve_closed(sample, queries, args, config):
-    kc = KernelConfig(sample.dim, args.softening)
     if args.mode == "vector":
-        sol = solve_closed_vector(sample.cloud, queries, kc, config)
+        sol = solve_closed_vector(sample.cloud, queries, config)
         return sol, sample.points, sol.mu / np.maximum(sol.tau[:, None], 1e-300)
-    return solve_closed_scalar(sample, queries, kc, config), sample.points, sample.normals
+    return solve_closed_scalar(sample, queries, config), sample.points, sample.normals
 
 
 def _solve_collar(collar, queries, args, config):
     outward = collar.outward()
-    cs = solve_collar(collar, queries, KernelConfig(outward.dim, args.softening), config)
-    return cs.solution, outward.points, outward.normals
+    return solve_collar(collar, queries, config).solution, outward.points, outward.normals
 
 
 def _solve_tube(tube, queries, args, config):
     b = tube.boundary
-    sol = solve_tube(tube, queries, KernelConfig(b.dim, args.softening), config)
-    return sol, b.points, b.normals
-
-
-def _s2_model(args) -> SphereModel:
-    if args.softening:
-        raise SurfquadError("the S^2 field has no softening; --softening applies "
-                            "to Euclidean kernels only")
-    return SphereModel()
+    return solve_tube(tube, queries, config), b.points, b.normals
 
 
 def _solve_cap(sample, queries, args, config):
-    return (solve_manifold_boundary(sample, _s2_model(args), *queries, config),
+    return (solve_manifold_boundary(sample, SphereModel(), *queries, config),
             sample.points, sample.conormals)
 
 
@@ -166,9 +155,10 @@ class _Pipeline:
     tag: Callable = lambda built, eps: ""           # weight-file header tags
     domain: Callable = _closed_domain  # (weight record, sample) -> integrand points
     total: Callable = _weighted_sum    # (f at domain points or None for 1, tau, meta) -> integral
-    # (args, ambient dim) -> the double-layer field the indicator evaluates
-    field: Callable = lambda args, dim: KernelConfig(dim, args.softening).field
+    # ambient dim -> the double-layer field the indicator evaluates
+    field: Callable = lambda dim: KernelConfig(dim).field
     policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
+    vector: bool = False   # whether `weights --mode vector` applies
     note: str = ""         # extra `weights` report line, formatted with eps
     # `study` defaults where they differ from `weights`
     study_query_count: int | None = None
@@ -177,7 +167,7 @@ class _Pipeline:
 
 _PIPELINES = {
     "closed": _Pipeline(
-        solve=_solve_closed,
+        solve=_solve_closed, vector=True,
         query_count=lambda s, a: (s.dim if a.mode == "vector" else 2) * len(s),
         # closer queries than the deep-interior default: the study should
         # expose the resolution-limited error, not the machine floor
@@ -205,7 +195,7 @@ _PIPELINES = {
     "s2-cap": _Pipeline(
         solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap, write=_write_cap,
         queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
-        field=lambda args, dim: _s2_model(args).field),
+        field=lambda dim: SphereModel().field),
 }
 
 _FIXTURES = {
@@ -236,7 +226,7 @@ def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
     count = args.query_count or (study and row.study_query_count) or row.query_count(sample, args)
     margin = row.study_margin if study and args.margin is None else args.margin
     queries = row.queries(spec, count, seed, eps, margin, args)
-    config = SolverConfig(regularization=args.regularization, rhs_mode=_RHS_MODES[args.rhs_mode],
+    config = SolverConfig(regularization=args.regularization,
                           negative_weight_policy=_POLICIES.get(args.policy, row.policy))
     return (eps, built, *row.solve(built, queries, args, config))
 
@@ -284,6 +274,9 @@ def _report_solution(sol):
 
 def cmd_weights(args) -> int:
     row = _PIPELINES[args.pipeline]
+    if args.mode == "vector" and not row.vector:
+        raise SurfquadError("--mode vector applies to the closed pipeline only; "
+                            f"{args.pipeline} solves for scalar elements")
     sample = row.read(args.sample_path)
     eps, built, sol, points, normals = _solve(row, sample, _spec(args), args, args.query_seed)
     textio.write_weights(args.output, points, sol.tau, normals=normals, offset=sol.offset,
@@ -314,7 +307,7 @@ def cmd_indicator(args) -> int:
     if record.normals is None:
         raise SurfquadError("indicator evaluation needs a weight file with normals")
     queries = textio.read_cloud(args.queries_path)
-    field = _pipeline_of(record).field(args, queries.dim)
+    field = _pipeline_of(record).field(queries.dim)
     chi = double_layer(field, queries.points, record.points,
                        record.tau[:, None] * record.normals, summed=True)
     if record.offset is not None:
@@ -361,11 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_numeric(p):
-        p.add_argument("--softening", type=float, default=0.0,
-                       help="Euclidean kernel softening width w (default 0: exact kernel)")
         p.add_argument("--lambda", dest="regularization", type=float, default=None,
                        help="Tikhonov weight (default: 1e-6 * max|A|)")
-        p.add_argument("--rhs-mode", choices=sorted(_RHS_MODES), default="one")
         p.add_argument("--policy", choices=sorted(_POLICIES), default=None,
                        help="negative-weight policy (default per pipeline)")
 
@@ -415,8 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ind.add_argument("--weights", dest="weights_path", required=True)
     ind.add_argument("--queries", dest="queries_path", required=True)
     ind.add_argument("-o", "--output", required=True)
-    ind.add_argument("--softening", type=float, default=0.0,
-                     help="Euclidean kernel softening width w (default 0: exact kernel)")
     ind.set_defaults(run=cmd_indicator)
 
     st = sub.add_parser("study", help="convergence sweep with CSV output")

@@ -6,7 +6,7 @@ class SurfquadError(Exception):
 
 
 class SingularEvaluationError(SurfquadError):
-    """Kernel evaluated at coincident points with zero softening."""
+    """Kernel evaluated at a coincident query/sample pair."""
 
 
 class IllPosedSystemError(SurfquadError):

@@ -1,9 +1,9 @@
 """Newtonian fundamental solution in R^n and the double-layer kernel row.
 
-Convention: K(x, y) = (y - x) / (omega_n * (|x-y|^2 + w^2)^(n/2)). With this
-sign the exact Gauss identity holds: summing dot(K(0, y_j), N(y_j)) * tau_j
-over a unit-sphere sample with elements 4*pi/N gives +1 at the origin. The
-optional softening width w bounds the kernel everywhere (K(x, x) = 0).
+Convention: K(x, y) = (y - x) / (omega_n * |x-y|^n). With this sign the exact
+Gauss identity holds: summing dot(K(0, y_j), N(y_j)) * tau_j over a
+unit-sphere sample with elements 4*pi/N gives +1 at the origin. The kernel
+is singular at coincident points, where every evaluator raises.
 """
 
 from dataclasses import dataclass
@@ -16,16 +16,13 @@ from .errors import SingularEvaluationError
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Ambient dimension and isotropic softening width."""
+    """Ambient dimension of the Newtonian kernel."""
 
     dim: int
-    softening: float = 0.0
 
     def __post_init__(self):
         if self.dim < 3:
             raise ValueError("kernel requires ambient dimension n >= 3")
-        if self.softening < 0:
-            raise ValueError("softening width must be nonnegative")
 
     def field(self, queries: np.ndarray, points: np.ndarray,
               vectors: np.ndarray | None = None) -> np.ndarray:
@@ -50,11 +47,9 @@ class KernelConfig:
             np.subtract(Y[:, k], X[:, k, None], out=d)
             num += np.multiply(d, V[:, k], out=t)
             rho2 += np.multiply(d, d, out=t)
-        if self.softening:
-            rho2 += self.softening ** 2
         # rho2 >= 0, so all() is false exactly when some pair coincides
         if not rho2.all():
-            raise SingularEvaluationError("coincident query/sample point with zero softening")
+            raise SingularEvaluationError("coincident query/sample point")
         # omega_n rho^n, with rho^n = rho2^(n//2) times rho for odd n
         den = np.power(rho2, self.dim // 2, out=t)
         if self.dim % 2:
@@ -72,11 +67,11 @@ def unit_sphere_measure(n: int) -> float:
 
 
 def fundamental_solution(x, y, config: KernelConfig) -> float:
-    """rho^(2-n) / ((n-2) omega_n) with rho = sqrt(|x-y|^2 + w^2)."""
+    """|x-y|^(2-n) / ((n-2) omega_n)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = config.dim
-    rho2 = float(np.sum((x - y) ** 2)) + config.softening ** 2
+    rho2 = float(np.sum((x - y) ** 2))
     if rho2 == 0.0:
         raise SingularEvaluationError("fundamental solution evaluated at coincident points")
     omega = unit_sphere_measure(n)
@@ -89,7 +84,7 @@ def double_layer_row(x, y, config: KernelConfig) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     n = config.dim
     diff = y - x
-    rho2 = float(np.sum(diff * diff)) + config.softening ** 2
+    rho2 = float(np.sum(diff * diff))
     if rho2 == 0.0:
         raise SingularEvaluationError("double layer kernel evaluated at coincident points")
     omega = unit_sphere_measure(n)
@@ -107,13 +102,13 @@ def _checked_pair(queries, sample, config: KernelConfig):
 def double_layer_block(queries: np.ndarray, sample: np.ndarray, config: KernelConfig) -> np.ndarray:
     """K(x_i, y_j) for all pairs, shape (N_X, N_Y, n).
 
-    Raises on any coincident pair when the softening width is zero.
+    Raises on any coincident pair.
     """
     X, Y = _checked_pair(queries, sample, config)
     n = config.dim
     diff = Y[None, :, :] - X[:, None, :]
-    rho2 = np.einsum("ijk,ijk->ij", diff, diff) + config.softening ** 2
+    rho2 = np.einsum("ijk,ijk->ij", diff, diff)
     if np.any(rho2 == 0.0):
-        raise SingularEvaluationError("coincident query/sample point with zero softening")
+        raise SingularEvaluationError("coincident query/sample point")
     omega = unit_sphere_measure(n)
     return diff / (omega * rho2 ** (n / 2.0))[:, :, None]

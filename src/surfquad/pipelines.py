@@ -25,20 +25,16 @@ COLLAR_SOLVER_DEFAULTS = SolverConfig(negative_weight_policy=NegativeWeightPolic
 
 
 def solve_closed_scalar(sample: OrientedSample, queries: PointCloud,
-                        kernel_config: KernelConfig | None = None,
                         solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
     """Scalar-unknown solve for a closed oriented hypersurface."""
-    kc = kernel_config or KernelConfig(dim=sample.dim)
-    system = assemble_scalar_system(queries, sample, kc, solver_config.rhs_mode)
+    system = assemble_scalar_system(queries, sample, KernelConfig(sample.dim))
     return solve_weights(system, solver_config, normals=sample.normals)
 
 
 def solve_closed_vector(sample: PointCloud, queries: PointCloud,
-                        kernel_config: KernelConfig | None = None,
                         solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
     """Vector-unknown solve; recovers both elements and orientations."""
-    kc = kernel_config or KernelConfig(dim=sample.dim)
-    system = assemble_vector_system(queries, sample, kc, solver_config.rhs_mode)
+    system = assemble_vector_system(queries, sample, KernelConfig(sample.dim))
     return solve_weights(system, solver_config)
 
 
@@ -52,7 +48,6 @@ class CollarSolution:
 
 
 def solve_collar(collar: CollarSample, queries: PointCloud,
-                 kernel_config: KernelConfig | None = None,
                  solver_config: SolverConfig = COLLAR_SOLVER_DEFAULTS) -> CollarSolution:
     """Scalar solve over both collar faces against queries inside the solid.
 
@@ -61,16 +56,15 @@ def solve_collar(collar: CollarSample, queries: PointCloud,
     rhs = 1 and positive elements.
     """
     outward = collar.outward()
-    sol = solve_closed_scalar(outward, queries, kernel_config, solver_config)
+    sol = solve_closed_scalar(outward, queries, solver_config)
     half = len(collar.front)
     return CollarSolution(solution=sol, front_tau=sol.tau[:half], back_tau=sol.tau[half:])
 
 
 def solve_tube(tube: TubeSample, queries: PointCloud,
-               kernel_config: KernelConfig | None = None,
                solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
     """Scalar solve over the tube boundary (slice normals are outward already)."""
-    return solve_closed_scalar(tube.boundary, queries, kernel_config, solver_config)
+    return solve_closed_scalar(tube.boundary, queries, solver_config)
 
 
 def solve_manifold_boundary(sample: ManifoldBoundarySample, model: SphereModel,

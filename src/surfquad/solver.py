@@ -49,11 +49,6 @@ class SystemLayout(Enum):
     OFFSET_AUGMENTED = "offset_augmented"
 
 
-class RhsMode(Enum):
-    ON_SURFACE_HALF = "on_surface_half"
-    INTERIOR_ONE = "interior_one"
-
-
 class NegativeWeightPolicy(Enum):
     KEEP = "keep"
     CLAMP_TO_ZERO = "clamp_to_zero"
@@ -86,13 +81,12 @@ class IndicatorSystem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tikhonov weight lambda, rhs convention, and negative-weight handling.
+    """Tikhonov weight lambda and negative-weight handling.
 
     regularization=None picks lambda = 1e-6 * max|A| at solve time.
     """
 
     regularization: float | None = AUTO_REGULARIZATION
-    rhs_mode: RhsMode = RhsMode.INTERIOR_ONE
     negative_weight_policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
 
     def __post_init__(self):
@@ -130,10 +124,11 @@ class WeightSolution:
             raise ValueError("tau must be nonnegative")
 
 
-def _rhs_values(rhs_mode, count: int) -> np.ndarray:
-    if isinstance(rhs_mode, RhsMode):
-        return np.full(count, 0.5 if rhs_mode is RhsMode.ON_SURFACE_HALF else 1.0)
-    vals = np.asarray(rhs_mode, dtype=float)
+def _rhs_values(rhs, count: int) -> np.ndarray:
+    """rhs=None is 1 on every row: the indicator at interior queries."""
+    if rhs is None:
+        return np.ones(count)
+    vals = np.asarray(rhs, dtype=float)
     if vals.shape != (count,):
         raise ValueError("per-row rhs must have one value per query")
     return vals
@@ -143,8 +138,8 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
                  vectors: np.ndarray | None = None, summed: bool = False) -> np.ndarray:
     """Double-layer potential of a kernel field, built in chunks of QUERY_CHUNK queries.
 
-    field(chunk, points) returns the kernel block K, shape (chunk, N, n), and
-    field(chunk, points, vectors) its rows sum_k K_ijk v_jk, shape (chunk, N).
+    field(chunk, points, vectors) returns the rows sum_k K_ijk v_jk, shape (chunk, N);
+    the Euclidean field(chunk, points) returns the kernel block K, shape (chunk, N, n).
     Without vectors the result is K's rows over columns (j, k); with vectors
     v_j it is the contracted rows, or with summed their sums over j.
     """
@@ -169,18 +164,18 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
 
 
 def assemble_vector_system(queries: PointCloud, sample: PointCloud,
-                           config: KernelConfig, rhs_mode=RhsMode.INTERIOR_ONE) -> IndicatorSystem:
+                           config: KernelConfig, rhs=None) -> IndicatorSystem:
     """Rows K(x_i, y_j)_k over columns (j, k); unknowns are the mu_jk."""
     A = double_layer(config.field, queries.points, sample.points)
-    return IndicatorSystem(A, _rhs_values(rhs_mode, len(queries)),
+    return IndicatorSystem(A, _rhs_values(rhs, len(queries)),
                            SystemLayout.VECTOR_UNKNOWNS, len(sample))
 
 
 def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
-                           config: KernelConfig, rhs_mode=RhsMode.INTERIOR_ONE) -> IndicatorSystem:
+                           config: KernelConfig, rhs=None) -> IndicatorSystem:
     """Rows dot(K(x_i, y_j), N(y_j)); unknowns are the scalars tau_j."""
     A = double_layer(config.field, queries.points, sample.points, sample.normals)
-    return IndicatorSystem(A, _rhs_values(rhs_mode, len(queries)),
+    return IndicatorSystem(A, _rhs_values(rhs, len(queries)),
                            SystemLayout.SCALAR_UNKNOWNS, len(sample))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from surfquad import textio
 from surfquad.errors import ClampedMassWarning
-from surfquad.geometry import PointCloud
+from surfquad.geometry import PointCloud, circle_r3_spec, interior_queries
 from surfquad.cli import main
 
 
@@ -116,15 +116,39 @@ def test_s2_cap_rejects_query_files(tmp_path, capsys):
     assert not w.exists()
 
 
-def test_weights_s2_cap_rejects_softening(tmp_path, capsys):
-    s, w = tmp_path / "cap.txt", tmp_path / "w.txt"
-    run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s])
-    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--query-count", 20,
-                "--softening", 0.3, "-o", w]) == 1
-    assert "no softening" in capsys.readouterr().err
+@pytest.mark.parametrize("pipeline,fixture", [
+    ("collar", "hemisphere"), ("tube", "circle-r3"), ("s2-cap", "s2-cap")])
+def test_weights_vector_mode_closed_only(tmp_path, capsys, pipeline, fixture):
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", fixture, "--count", 100, "-o", s])
+    assert run(["weights", "--pipeline", pipeline, "--sample", s, "--mode", "vector",
+                "-o", w]) == 1
+    assert "--mode vector applies to the closed pipeline only" in capsys.readouterr().err
     assert not w.exists()
-    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--query-count", 20,
-                "--softening", 0, "-o", w]) == 0
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("weights", "--softening", 0.3), ("study", "--softening", 0.3),
+    ("indicator", "--softening", 0.3), ("weights", "--rhs-mode", "half"),
+    ("study", "--rhs-mode", "half")])
+def test_removed_kernel_and_rhs_flags_are_usage_errors(tmp_path, command, flag, value):
+    s, q, w, out = (tmp_path / "s.txt", tmp_path / "q.txt",
+                    tmp_path / "w.txt", tmp_path / "out.txt")
+    run(["generate", "--fixture", "sphere", "--count", 100, "-o", s,
+         "--queries", q, "--query-count", 10])
+    sample = textio.read_oriented(s)
+    textio.write_weights(w, sample.points, np.full(100, 4.0 * np.pi / 100),
+                         normals=sample.normals)
+    # each command line is valid without the removed flag
+    argv = {
+        "weights": ["weights", "--pipeline", "closed", "--sample", s, "--queries", q],
+        "study": ["study", "--fixture", "sphere", "--sizes", 100],
+        "indicator": ["indicator", "--weights", w, "--queries", q],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, flag, value, "-o", out])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_sphere_nd_fixture_lives_in_rn(tmp_path, capsys):
@@ -226,16 +250,22 @@ def test_indicator_on_cap_weights_uses_sphere_field(tmp_path):
     assert np.max(np.abs(chi[5:])) < 0.05
 
 
-def test_indicator_on_cap_weights_rejects_softening(tmp_path, capsys):
-    s, w, q, out = (tmp_path / "cap.txt", tmp_path / "w.txt",
+def test_indicator_on_tube_weights(tmp_path):
+    s, w, q, out = (tmp_path / "c.txt", tmp_path / "w.txt",
                     tmp_path / "q.txt", tmp_path / "chi.csv")
-    run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s])
-    run(["weights", "--pipeline", "s2-cap", "--sample", s, "--query-count", 20, "-o", w])
-    textio.write_cloud(q, PointCloud(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])))
-    assert run(["indicator", "--weights", w, "--queries", q, "--softening", 0.3,
-                "-o", out]) == 1
-    assert "no softening" in capsys.readouterr().err
-    assert not out.exists()
+    run(["generate", "--fixture", "circle-r3", "--count", 120, "-o", s])
+    assert run(["weights", "--pipeline", "tube", "--sample", s, "--fixture", "circle-r3",
+                "--query-seed", 3, "-o", w]) == 0
+    eps = float(textio.read_weights(w).meta["eps"])
+    inside = interior_queries(circle_r3_spec(), 40, 9, epsilon=eps).points
+    # the center of the circle and a point beyond it are far from the tube
+    far = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    textio.write_cloud(q, PointCloud(np.vstack([inside, far])))
+    assert run(["indicator", "--weights", w, "--queries", q, "-o", out]) == 0
+    with open(out, newline="") as fh:
+        chi = np.array([float(r[-1]) for r in list(csv.reader(fh))[1:]])
+    assert np.max(np.abs(chi[:40] - 1.0)) < 0.1
+    assert np.max(np.abs(chi[40:])) < 0.01
 
 
 def test_study_csv_schema_and_roundtrip(tmp_path):

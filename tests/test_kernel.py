@@ -49,13 +49,6 @@ def test_singular_evaluation_raises():
         double_layer_row(p, p, cfg)
 
 
-def test_softening_makes_coincidence_finite():
-    cfg = KernelConfig(3, softening=0.1)
-    p = np.array([0.3, -0.2, 1.0])
-    assert np.allclose(double_layer_row(p, p, cfg), 0.0)
-    assert np.isfinite(fundamental_solution(p, p, cfg))
-
-
 def test_double_layer_row_axis_value():
     cfg = KernelConfig(3)
     row = double_layer_row(np.zeros(3), np.array([1.0, 0.0, 0.0]), cfg)
@@ -88,10 +81,9 @@ def _fd_gradient_first_slot(x, y, cfg, step=1e-5):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("softening", [0.0, 0.3])
-def test_gradient_consistency(n, softening):
+def test_gradient_consistency(n):
     rng = np.random.default_rng(n)
-    cfg = KernelConfig(n, softening)
+    cfg = KernelConfig(n)
     for _ in range(25):
         x = rng.standard_normal(n)
         y = x + rng.standard_normal(n)
@@ -110,14 +102,13 @@ def test_exact_gauss_identity(count, exact_sphere_weights):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("softening", [0.0, 0.3])
-def test_contracted_rows_match_block(n, softening):
+def test_contracted_rows_match_block(n):
     # more queries than one chunk, so the rows come from two field calls
     rng = np.random.default_rng(11)
     X = rng.standard_normal((QUERY_CHUNK + 44, n))
     Y = rng.standard_normal((40, n))
     V = rng.standard_normal((40, n))
-    cfg = KernelConfig(n, softening)
+    cfg = KernelConfig(n)
     block = double_layer_block(X, Y, cfg)
     rows = double_layer(cfg.field, X, Y, V)
     expected = np.einsum("ijk,jk->ij", block, V)
@@ -137,23 +128,6 @@ def test_homogeneity(scale):
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
-def test_softened_kernel_bounded():
-    cfg = KernelConfig(3, softening=0.05)
-    rng = np.random.default_rng(0)
-    bound = 1.0  # |K| <= |x-y| / (omega_n w^3) stays finite; spot-check decay
-    for _ in range(50):
-        x = rng.standard_normal(3) * 0.01
-        y = rng.standard_normal(3) * 0.01
-        row = double_layer_row(x, y, cfg)
-        d = np.linalg.norm(x - y)
-        limit = d / (4.0 * np.pi * cfg.softening ** 3)
-        assert np.linalg.norm(row) <= limit + 1e-15
-        bound = max(bound, np.linalg.norm(row))
-    assert np.isfinite(bound)
-
-
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(2)
-    with pytest.raises(ValueError):
-        KernelConfig(3, softening=-0.1)

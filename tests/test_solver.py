@@ -12,10 +12,10 @@ from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
 from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
-from surfquad.solver import (IndicatorSystem, NegativeWeightPolicy, RhsMode,
-                             SolverConfig, SystemLayout, _tikhonov_solve,
-                             assemble_scalar_system, assemble_vector_system,
-                             indicator_values, integrate_function, solve_weights)
+from surfquad.solver import (IndicatorSystem, NegativeWeightPolicy, SolverConfig,
+                             SystemLayout, _tikhonov_solve, assemble_scalar_system,
+                             assemble_vector_system, indicator_values,
+                             integrate_function, solve_weights)
 
 
 def _scalar_system(A, rhs, count=None):
@@ -33,7 +33,7 @@ def test_rhs_entries_validated():
 def test_vector_assembly_single_pair():
     q = PointCloud(np.zeros((1, 3)))
     s = PointCloud(np.array([[1.0, 0.0, 0.0]]))
-    system = assemble_vector_system(q, s, KernelConfig(3), RhsMode.INTERIOR_ONE)
+    system = assemble_vector_system(q, s, KernelConfig(3))
     assert system.matrix.shape == (1, 3)
     assert np.allclose(system.matrix[0], [1.0 / (4.0 * np.pi), 0.0, 0.0])
     assert system.rhs.tolist() == [1.0]
@@ -60,7 +60,7 @@ def test_vector_rows_against_exact_elements():
 def test_scalar_assembly_entry_and_flip():
     q = PointCloud(np.zeros((1, 3)))
     s = OrientedSample(PointCloud(np.array([[1.0, 0, 0]])), np.array([[1.0, 0, 0]]))
-    system = assemble_scalar_system(q, s, KernelConfig(3), RhsMode.ON_SURFACE_HALF)
+    system = assemble_scalar_system(q, s, KernelConfig(3), np.array([0.5]))
     assert system.matrix[0, 0] == pytest.approx(1.0 / (4.0 * np.pi))
     assert system.rhs.tolist() == [0.5]
     flipped = assemble_scalar_system(q, s.flipped(), KernelConfig(3))
