@@ -8,8 +8,7 @@ in R^n, and boundaries of domains on the round sphere.
 
 from .collar import CollarConfig, CollarSample, build_collar, integrate_with_boundary
 from .errors import (ClampedMassWarning, DegeneratePairError, IllPosedSystemError,
-                     NegativeWeightError, SelfIntersectionError, SingularEvaluationError,
-                     SurfquadError)
+                     SelfIntersectionError, SingularEvaluationError, SurfquadError)
 from .geometry import (FramedSample, OrientedSample, PointCloud, SurfaceKind,
                        SurfaceSpec, circle_r3_spec, ellipsoid_spec, gen_circle_r3,
                        gen_ellipsoid, gen_fibonacci_sphere, gen_hemisphere,

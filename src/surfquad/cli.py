@@ -31,13 +31,6 @@ from .riemannian import (ManifoldBoundarySample, SphereModel, cap_boundary_sampl
 from .solver import NegativeWeightPolicy, SolverConfig, double_layer
 from .tube import build_tube, integrate_codim, sample_normal_sphere
 
-_POLICIES = {
-    "keep": NegativeWeightPolicy.KEEP,
-    "clamp": NegativeWeightPolicy.CLAMP_TO_ZERO,
-    "error": NegativeWeightPolicy.ERROR,
-}
-
-
 def _read_cap(path) -> ManifoldBoundarySample:
     sample = textio.read_oriented(path)
     return ManifoldBoundarySample(sample.cloud, sample.normals)
@@ -215,8 +208,15 @@ PIPELINES = tuple(_PIPELINES)
 STUDY_HEADER = ["N", "eps", "lambda", "residual", "integral", "ref", "rel_err", "seconds"]
 
 
-def _spec(args):
-    return _FIXTURES[args.fixture].spec(args) if args.fixture else None
+def _spec(args, pipeline: str):
+    """The reference spec of --fixture, which must be a sample of this pipeline."""
+    if not args.fixture:
+        return None
+    fixture = _FIXTURES[args.fixture]
+    if fixture.pipeline != pipeline:
+        raise SurfquadError(f"fixture {args.fixture} is a {fixture.pipeline} sample, "
+                            f"not a {pipeline} one")
+    return fixture.spec(args)
 
 
 def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
@@ -227,16 +227,16 @@ def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
     margin = row.study_margin if study and args.margin is None else args.margin
     queries = row.queries(spec, count, seed, eps, margin, args)
     config = SolverConfig(regularization=args.regularization,
-                          negative_weight_policy=_POLICIES.get(args.policy, row.policy))
+                          negative_weight_policy=row.policy)
     return (eps, built, *row.solve(built, queries, args, config))
 
 
-def _pipeline_of(record: textio.WeightRecord) -> _Pipeline:
-    """The row that wrote a weight file, read off its header tags."""
+def _pipeline_of(record: textio.WeightRecord) -> str:
+    """The pipeline that wrote a weight file, read off its header tags."""
     for name in ("tube", "collar"):
         if name in record.flags:
-            return _PIPELINES[name]
-    return _PIPELINES["s2-cap" if record.meta.get("manifold") == "s2" else "closed"]
+            return name
+    return "s2-cap" if record.meta.get("manifold") == "s2" else "closed"
 
 
 def _header_meta(tag: str) -> dict:
@@ -249,14 +249,17 @@ def cmd_generate(args) -> int:
     fixture = _FIXTURES[args.fixture]
     row = _PIPELINES[fixture.pipeline]
     sample = fixture.generate(args, args.count)
-    row.write(args.output, sample)
-    cloud = sample.cloud
-    h = median_nn_spacing(cloud) if len(cloud) > 1 else float("nan")
-    print(f"wrote {len(cloud)} points to {args.output} (median spacing h={h:.6g})")
+    # draw the queries before writing anything, so a failed draw leaves no file
+    queries = None
     if args.queries_path:
         queries = interior_queries(fixture.spec(args), args.query_count or args.count,
                                    args.query_seed, margin=args.margin,
                                    epsilon=row.epsilon(sample, args))
+    row.write(args.output, sample)
+    cloud = sample.cloud
+    h = median_nn_spacing(cloud) if len(cloud) > 1 else float("nan")
+    print(f"wrote {len(cloud)} points to {args.output} (median spacing h={h:.6g})")
+    if queries is not None:
         textio.write_cloud(args.queries_path, queries)
         print(f"wrote {len(queries)} interior queries to {args.queries_path}")
     return 0
@@ -277,8 +280,9 @@ def cmd_weights(args) -> int:
     if args.mode == "vector" and not row.vector:
         raise SurfquadError("--mode vector applies to the closed pipeline only; "
                             f"{args.pipeline} solves for scalar elements")
+    spec = _spec(args, args.pipeline)
     sample = row.read(args.sample_path)
-    eps, built, sol, points, normals = _solve(row, sample, _spec(args), args, args.query_seed)
+    eps, built, sol, points, normals = _solve(row, sample, spec, args, args.query_seed)
     textio.write_weights(args.output, points, sol.tau, normals=normals, offset=sol.offset,
                          extra=row.tag(built, eps))
     _report_solution(sol)
@@ -290,11 +294,13 @@ def cmd_weights(args) -> int:
 def cmd_integrate(args) -> int:
     """Apply the summation rule of the construction the weight file's header names."""
     record = textio.read_weights(args.weights_path)
-    row = _pipeline_of(record)
+    pipeline = _pipeline_of(record)
+    spec = _spec(args, pipeline)
+    row = _PIPELINES[pipeline]
     domain_pts = row.domain(record, row.read(args.sample_path))
     value = row.total(evaluate_integrand(args.integrand, domain_pts), record.tau, record.meta)
     print(f"integral[{args.integrand}] = {value:.10g}  ({len(domain_pts)} sample points)")
-    ref = _spec(args).analytic_integrals.get(args.integrand) if args.fixture else None
+    ref = spec.analytic_integrals.get(args.integrand) if spec is not None else None
     if ref is not None:
         err = abs(value - ref) / max(abs(ref), 1e-300) if ref else abs(value)
         kindword = "rel" if ref else "abs"
@@ -307,7 +313,7 @@ def cmd_indicator(args) -> int:
     if record.normals is None:
         raise SurfquadError("indicator evaluation needs a weight file with normals")
     queries = textio.read_cloud(args.queries_path)
-    field = _pipeline_of(record).field(queries.dim)
+    field = _PIPELINES[_pipeline_of(record)].field(queries.dim)
     chi = double_layer(field, queries.points, record.points,
                        record.tau[:, None] * record.normals, summed=True)
     if record.offset is not None:
@@ -353,12 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Meshless integration on point-sampled submanifolds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_numeric(p):
-        p.add_argument("--lambda", dest="regularization", type=float, default=None,
-                       help="Tikhonov weight (default: 1e-6 * max|A|)")
-        p.add_argument("--policy", choices=sorted(_POLICIES), default=None,
-                       help="negative-weight policy (default per pipeline)")
-
     def fixture_args(p):
         p.add_argument("--fixture", choices=FIXTURES)
         p.add_argument("--dim", type=int, default=3)
@@ -391,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--epsilon", type=float, default=None)
     w.add_argument("--q-directions", type=int, default=16)
     w.add_argument("--mode", choices=("scalar", "vector"), default="scalar")
-    common_numeric(w)
     w.set_defaults(run=cmd_weights)
 
     it = sub.add_parser("integrate", help="integrate a named function with solved weights")
@@ -420,9 +419,12 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--q-directions", type=int, default=16)
     st.add_argument("--alpha", type=float, default=np.pi / 3)
     st.add_argument("-o", "--output", required=True)
-    common_numeric(st)
     # study generates its samples and queries, and solves scalar systems
     st.set_defaults(run=cmd_study, queries_path=None, mode="scalar")
+
+    for p in (w, st):
+        p.add_argument("--lambda", dest="regularization", type=float, default=None,
+                       help="Tikhonov weight (default: 1e-6 * max|A|)")
 
     return parser
 

@@ -13,10 +13,6 @@ class IllPosedSystemError(SurfquadError):
     """Rank-deficient least-squares system solved without regularization."""
 
 
-class NegativeWeightError(SurfquadError):
-    """Negative raw scalar weight under the 'error' policy."""
-
-
 class SelfIntersectionError(SurfquadError):
     """Offset construction collided with existing sample points."""
 

@@ -21,7 +21,7 @@ from .tube import TubeSample
 # Near-antiparallel face pairs make the sign of a raw collar weight pure
 # orientation noise; keeping magnitudes (instead of clamping) preserves the
 # pair sums the half-sum rule needs.
-COLLAR_SOLVER_DEFAULTS = SolverConfig(negative_weight_policy=NegativeWeightPolicy.KEEP)
+COLLAR_SOLVER_DEFAULTS = SolverConfig(negative_weight_policy=NegativeWeightPolicy.FLIP)
 
 
 def solve_closed_scalar(sample: OrientedSample, queries: PointCloud,

@@ -15,11 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePairError
-from .geometry import PointCloud
+from .geometry import PointCloud, _uniform_cap_points
 from .solver import IndicatorSystem, SystemLayout, double_layer
 
 TANGENT_TOL = 1e-10
 _PAIR_TOL = 1e-14
+
+
+def _require_on_sphere(points: np.ndarray, what: str) -> None:
+    defect = np.abs(np.linalg.norm(points, axis=-1) - 1.0)
+    if np.any(defect > TANGENT_TOL):
+        raise ValueError(f"{what} off the unit sphere: ||x| - 1| reaches "
+                         f"{np.max(defect):.3g} > {TANGENT_TOL:g}")
 
 
 def s2_green_gradient(p, q) -> np.ndarray:
@@ -27,15 +34,18 @@ def s2_green_gradient(p, q) -> np.ndarray:
 
     Returns -(1/(4 pi)) cot(theta/2) * t_hat with theta the geodesic angle
     and t_hat the unit tangent at q pointing away from p along their great
-    circle. p holds source points, shape (..., 3); q holds one field point,
-    shape (3,), or rows of them, shape (..., N, 3). Leading axes broadcast as
-    in a matrix-vector product, giving shape (..., N, 3) or (..., 3).
-    Undefined (raises) for coincident or antipodal pairs.
+    circle. p holds source (query) points, shape (..., 3); q holds one field
+    (sample) point, shape (3,), or rows of them, shape (..., N, 3). Leading
+    axes broadcast as in a matrix-vector product, giving shape (..., N, 3) or
+    (..., 3). Undefined (raises) for coincident or antipodal pairs, and for
+    points off the unit sphere.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if q.ndim == 1:
         return s2_green_gradient(p, q[None, :])[..., 0, :]
+    _require_on_sphere(p, "query point")
+    _require_on_sphere(q, "sample point")
     # cosines, shape (..., N, 1): one matrix-vector product q @ p per source
     # point, so a chunk of sources rounds exactly as one source at a time does
     c = np.matmul(q, p[..., :, None])
@@ -76,6 +86,7 @@ class ManifoldBoundarySample:
         lengths = np.linalg.norm(con, axis=1)
         if np.max(np.abs(lengths - 1.0)) > TANGENT_TOL:
             raise ValueError("conormals must be unit vectors")
+        _require_on_sphere(self.cloud.points, "boundary point")
         radial = np.abs(np.einsum("jk,jk->j", con, self.cloud.points))
         if np.max(radial) > TANGENT_TOL:
             raise ValueError("conormals must be tangent to the sphere at their points")
@@ -124,10 +135,7 @@ def cap_query_points(alpha: float, count: int, seed: int, side: str = "interior"
         z_lo, z_hi = -1.0, np.cos(alpha + m)
     else:
         raise ValueError("side must be 'interior' or 'exterior'")
-    z = rng.uniform(z_lo, z_hi, count)
-    phi = rng.uniform(0.0, 2.0 * np.pi, count)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return PointCloud(np.column_stack([r * np.cos(phi), r * np.sin(phi), z]))
+    return PointCloud(_uniform_cap_points(rng, count, z_lo, z_hi))
 
 
 def continuous_cap_indicator(p, alpha: float, quadrature_count: int) -> float:

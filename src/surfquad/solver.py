@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ClampedMassWarning, IllPosedSystemError, NegativeWeightError
+from .errors import ClampedMassWarning, IllPosedSystemError
 from .geometry import OrientedSample, PointCloud
 from .kernel import KernelConfig
 
@@ -50,9 +50,10 @@ class SystemLayout(Enum):
 
 
 class NegativeWeightPolicy(Enum):
-    KEEP = "keep"
+    """What a negative raw scalar weight becomes: zero, or its magnitude |raw|."""
+
     CLAMP_TO_ZERO = "clamp_to_zero"
-    ERROR = "error"
+    FLIP = "flip"
 
 
 @dataclass(frozen=True)
@@ -255,10 +256,7 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
             raise ValueError("normals count must match the sample count")
         negative = int(np.sum(raw < 0))
         removed = float(np.sum(np.maximum(-raw, 0.0)))
-        policy = config.negative_weight_policy
-        if policy is NegativeWeightPolicy.ERROR and negative:
-            raise NegativeWeightError(f"{negative} negative raw scalar weights")
-        if policy is NegativeWeightPolicy.CLAMP_TO_ZERO:
+        if config.negative_weight_policy is NegativeWeightPolicy.CLAMP_TO_ZERO:
             tau = np.maximum(raw, 0.0)
             action = f"clamping {negative} negative raw weights removed"
         else:

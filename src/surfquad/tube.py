@@ -23,10 +23,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import SelfIntersectionError
-from .geometry import FramedSample, OrientedSample, PointCloud
+from .geometry import (FramedSample, OrientedSample, PointCloud, gen_fibonacci_sphere,
+                       gen_sphere_nd)
 from .kernel import unit_sphere_measure
-
-_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,9 @@ def sample_normal_sphere(r: int, q: int, eps: float) -> SphereDirections:
         phi = 2.0 * np.pi * np.arange(q) / q
         dirs = np.column_stack([np.cos(phi), np.sin(phi)])
     elif r == 3:
-        i = np.arange(q, dtype=float)
-        z = 1.0 - (2.0 * i + 1.0) / q
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = _GOLDEN_ANGLE * i
-        dirs = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+        dirs = gen_fibonacci_sphere(q).points
     else:
-        rng = np.random.default_rng(90_000 + 1000 * r + q)
-        raw = rng.standard_normal((q, r))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        dirs = gen_sphere_nd(q, r, 90_000 + 1000 * r + q).points
     return SphereDirections(eps * dirs, eps)
 
 

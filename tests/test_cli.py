@@ -108,7 +108,9 @@ def test_s2_cap_rejects_query_files(tmp_path, capsys):
     assert run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s,
                 "--queries", q]) == 1
     assert not q.exists()
+    assert not s.exists()
     assert "no interior-query rule" in capsys.readouterr().err
+    assert run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s]) == 0
     textio.write_cloud(q, PointCloud(np.eye(3)))
     assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--queries", q,
                 "-o", w]) == 1
@@ -130,7 +132,8 @@ def test_weights_vector_mode_closed_only(tmp_path, capsys, pipeline, fixture):
 @pytest.mark.parametrize("command,flag,value", [
     ("weights", "--softening", 0.3), ("study", "--softening", 0.3),
     ("indicator", "--softening", 0.3), ("weights", "--rhs-mode", "half"),
-    ("study", "--rhs-mode", "half")])
+    ("study", "--rhs-mode", "half"), ("weights", "--policy", "clamp"),
+    ("study", "--policy", "keep")])
 def test_removed_kernel_and_rhs_flags_are_usage_errors(tmp_path, command, flag, value):
     s, q, w, out = (tmp_path / "s.txt", tmp_path / "q.txt",
                     tmp_path / "w.txt", tmp_path / "out.txt")
@@ -148,6 +151,52 @@ def test_removed_kernel_and_rhs_flags_are_usage_errors(tmp_path, command, flag, 
     with pytest.raises(SystemExit) as exc:
         run([*argv, flag, value, "-o", out])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_lambda_sets_the_tikhonov_weight(tmp_path, capsys):
+    s, w, out = tmp_path / "s.txt", tmp_path / "w.txt", tmp_path / "study.csv"
+    run(["generate", "--fixture", "sphere", "--count", 100, "-o", s])
+    # lambda = 0 is plain least squares, on a tall system of full rank
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
+                "--query-count", 300, "--lambda", 0, "-o", w]) == 0
+    assert "solver path:     lstsq\n" in capsys.readouterr().out
+    assert run(["study", "--fixture", "sphere", "--sizes", 100, "--lambda", 1e-3,
+                "-o", out]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["lambda"] for r in rows] == ["0.001"]
+
+
+def test_fixture_of_another_construction_rejected(tmp_path, capsys):
+    s, c, w, wt = (tmp_path / "s.txt", tmp_path / "c.txt",
+                   tmp_path / "w.txt", tmp_path / "wt.txt")
+    run(["generate", "--fixture", "sphere", "--count", 300, "-o", s])
+    capsys.readouterr()
+    # a sphere is a closed sample: the tube pipeline must not solve against it
+    assert run(["weights", "--pipeline", "tube", "--sample", s, "--fixture", "sphere",
+                "-o", w]) == 1
+    assert "fixture sphere is a closed sample, not a tube one" in capsys.readouterr().err
+    assert not w.exists()
+    run(["generate", "--fixture", "circle-r3", "--count", 120, "-o", c])
+    assert run(["weights", "--pipeline", "tube", "--sample", c, "--fixture", "circle-r3",
+                "-o", wt]) == 0
+    capsys.readouterr()
+    # tube weights summed against the sphere's reference values
+    assert run(["integrate", "--sample", c, "--weights", wt, "--fixture", "sphere"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fixture sphere is a closed sample, not a tube one" in captured.err
+
+
+def test_indicator_rejects_queries_off_the_sphere(tmp_path, capsys):
+    s, w, q, out = (tmp_path / "cap.txt", tmp_path / "w.txt",
+                    tmp_path / "q.txt", tmp_path / "chi.csv")
+    run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s])
+    run(["weights", "--pipeline", "s2-cap", "--sample", s, "-o", w])
+    textio.write_cloud(q, PointCloud(np.array([[0.0, 0.0, 0.5]])))
+    assert run(["indicator", "--weights", w, "--queries", q, "-o", out]) == 1
+    assert "off the unit sphere" in capsys.readouterr().err
     assert not out.exists()
 
 

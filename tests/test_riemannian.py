@@ -160,6 +160,12 @@ def test_assemble_shapes_and_rhs():
     assert np.all(system.matrix[:, -1] == 1.0)
 
 
+def test_boundary_sample_off_the_sphere_rejected():
+    sample = cap_boundary_sample(np.pi / 3, 16)
+    with pytest.raises(ValueError, match="off the unit sphere"):
+        ManifoldBoundarySample(PointCloud(1.3 * sample.points), sample.conormals)
+
+
 def test_assemble_requires_both_query_classes():
     sample = cap_boundary_sample(np.pi / 3, 4)
     q = PointCloud(NORTH[None, :])

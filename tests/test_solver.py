@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import normal_equations_solve
-from surfquad.errors import (ClampedMassWarning, IllPosedSystemError, NegativeWeightError,
-                             SingularEvaluationError)
+from surfquad.errors import ClampedMassWarning, IllPosedSystemError, SingularEvaluationError
 from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
                                interior_queries, sphere_spec)
 from surfquad.kernel import KernelConfig
@@ -193,7 +192,7 @@ def test_solve_weights_matches_oracle_end_to_end():
     # a random system is no indicator: its flip carries most of the mass
     with pytest.warns(ClampedMassWarning, match="flipping"):
         sol = solve_weights(system, SolverConfig(regularization=lam,
-                                                 negative_weight_policy=NegativeWeightPolicy.KEEP),
+                                                 negative_weight_policy=NegativeWeightPolicy.FLIP),
                             normals=rng.standard_normal((20, 3)))
     oracle = normal_equations_solve(A, rhs, lam)
     assert np.linalg.norm(sol.tau - np.abs(oracle)) <= 1e-8 * np.linalg.norm(oracle)
@@ -232,22 +231,18 @@ def test_negative_weight_policies():
     normals = np.array([[1.0, 0, 0], [0, 1.0, 0]])
     # the flip carries half of the kept mass, so it must warn like a clamp
     with pytest.warns(ClampedMassWarning, match="flipping 1 negative raw weights"):
-        keep = solve_weights(system, SolverConfig(
-            regularization=0.0, negative_weight_policy=NegativeWeightPolicy.KEEP),
+        flip = solve_weights(system, SolverConfig(
+            regularization=0.0, negative_weight_policy=NegativeWeightPolicy.FLIP),
             normals=normals)
-    assert np.allclose(keep.tau, [0.0, 1.0])
-    assert keep.diagnostics.negative_count == 1
-    assert keep.diagnostics.removed_mass == pytest.approx(1.0)
+    assert np.allclose(flip.tau, [0.0, 1.0])
+    assert flip.diagnostics.negative_count == 1
+    assert flip.diagnostics.removed_mass == pytest.approx(1.0)
     # the clamp keeps no mass at all, so any removed mass must warn
     with pytest.warns(ClampedMassWarning, match="1 negative raw weights"):
         clamp = solve_weights(system, SolverConfig(regularization=0.0), normals=normals)
     assert np.allclose(clamp.tau, [0.0, 0.0])
     assert clamp.diagnostics.negative_count == 1
     assert clamp.diagnostics.removed_mass == pytest.approx(1.0)
-    with pytest.raises(NegativeWeightError):
-        solve_weights(system, SolverConfig(regularization=0.0,
-                                           negative_weight_policy=NegativeWeightPolicy.ERROR),
-                      normals=normals)
 
 
 def test_scalar_solve_requires_normals():
