@@ -19,7 +19,8 @@ from .kernel import (KernelConfig, double_layer_row, fundamental_solution,
 from .pipelines import (CollarSolution, solve_closed_scalar, solve_closed_vector,
                         solve_collar, solve_manifold_boundary, solve_tube)
 from .riemannian import (ManifoldBoundarySample, SphereModel, assemble_riemann_system,
-                         cap_boundary_sample, continuous_cap_indicator, s2_green_gradient)
+                         cap_angle, cap_boundary_sample, continuous_cap_indicator,
+                         s2_green_gradient)
 from .solver import (IndicatorSystem, NegativeWeightPolicy, SolverConfig,
                      SystemLayout, WeightSolution, assemble_scalar_system,
                      assemble_vector_system, double_layer, indicator_values,

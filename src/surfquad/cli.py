@@ -24,11 +24,11 @@ from .geometry import (INTEGRANDS, OrientedSample, PointCloud, circle_r3_spec,
                        hemisphere_spec, interior_queries, median_nn_spacing,
                        s2_cap_spec, sphere_spec)
 from .kernel import KernelConfig
-from .pipelines import (COLLAR_SOLVER_DEFAULTS, solve_closed_scalar, solve_closed_vector,
-                        solve_collar, solve_manifold_boundary, solve_tube)
-from .riemannian import (ManifoldBoundarySample, SphereModel, cap_boundary_sample,
+from .pipelines import (solve_closed_scalar, solve_closed_vector, solve_collar,
+                        solve_manifold_boundary, solve_tube)
+from .riemannian import (ManifoldBoundarySample, SphereModel, cap_angle, cap_boundary_sample,
                          cap_query_points)
-from .solver import NegativeWeightPolicy, SolverConfig, double_layer
+from .solver import SolverConfig, double_layer
 from .tube import build_tube, integrate_codim, sample_normal_sphere
 
 def _read_cap(path) -> ManifoldBoundarySample:
@@ -48,7 +48,7 @@ def _build_tube(base, eps, args):
     return build_tube(base, sample_normal_sphere(base.codim, args.q_directions, eps))
 
 
-def _interior(spec, count, seed, eps, margin, args) -> PointCloud:
+def _interior(sample, spec, count, seed, eps, margin, args) -> PointCloud:
     if args.queries_path:
         return textio.read_cloud(args.queries_path)
     if spec is None:
@@ -56,12 +56,13 @@ def _interior(spec, count, seed, eps, margin, args) -> PointCloud:
     return interior_queries(spec, count, seed, margin=margin, epsilon=eps)
 
 
-def _cap_queries(spec, count, seed, eps, margin, args):
+def _cap_queries(sample, spec, count, seed, eps, margin, args):
     if args.queries_path:
-        raise SurfquadError("s2-cap draws its interior and exterior queries from --alpha "
-                            "and --margin; it reads no --queries file")
-    return (cap_query_points(args.alpha, count, seed, side="interior", margin=margin),
-            cap_query_points(args.alpha, count, seed + 1, side="exterior", margin=margin))
+        raise SurfquadError("s2-cap draws its interior and exterior queries from the cap "
+                            "angle of the sample and --margin; it reads no --queries file")
+    alpha = cap_angle(sample)
+    return (cap_query_points(alpha, count, seed, side="interior", margin=margin),
+            cap_query_points(alpha, count, seed + 1, side="exterior", margin=margin))
 
 
 def _solve_closed(sample, queries, args, config):
@@ -86,26 +87,6 @@ def _solve_cap(sample, queries, args, config):
             sample.points, sample.conormals)
 
 
-def _closed_domain(record, sample) -> np.ndarray:
-    if len(record.tau) != len(sample):
-        raise SurfquadError("weight file does not match the sample")
-    return sample.points
-
-
-def _collar_domain(record, sample) -> np.ndarray:
-    if len(record.tau) != 2 * len(sample):
-        raise SurfquadError("weight file does not match a collar over the sample")
-    return record.points[:len(sample)]
-
-
-def _tube_domain(record, base) -> np.ndarray:
-    q, eps = int(record.meta["q"]), float(record.meta["eps"])
-    if len(record.tau) != q * len(base):
-        raise SurfquadError("weight file does not match the tube of the sample")
-    # boundary point = base + eps * slice normal, base-point-major order
-    return (record.points - eps * record.normals)[::q]
-
-
 def _weighted_sum(f, tau, meta) -> float:
     # f = None integrates 1: the sum of elements that `weights` prints
     return float(tau.sum()) if f is None else float(np.dot(f, tau))
@@ -128,7 +109,8 @@ class _Fixture:
 
     pipeline: str
     generate: Callable     # (args, count) -> sample
-    spec: Callable         # args -> SurfaceSpec
+    # (args, sample) -> SurfaceSpec; the sample fixes the dimension and the cap angle
+    spec: Callable
 
 
 @dataclass(frozen=True)
@@ -144,13 +126,13 @@ class _Pipeline:
     write: Callable = textio.write_oriented         # (path, sample) -> None
     epsilon: Callable = lambda sample, args: None   # thickness of the solid, if any
     build: Callable = lambda sample, eps, args: sample  # -> what the solve takes
-    queries: Callable = _interior   # (spec, count, seed, eps, margin, args) -> queries
+    # (sample, spec, count, seed, eps, margin, args) -> queries
+    queries: Callable = _interior
     tag: Callable = lambda built, eps: ""           # weight-file header tags
-    domain: Callable = _closed_domain  # (weight record, sample) -> integrand points
-    total: Callable = _weighted_sum    # (f at domain points or None for 1, tau, meta) -> integral
+    per_point: Callable = lambda meta: 1  # weight-file header -> weights per sample point
+    total: Callable = _weighted_sum    # (f at sample points or None for 1, tau, meta) -> integral
     # ambient dim -> the double-layer field the indicator evaluates
     field: Callable = lambda dim: KernelConfig(dim).field
-    policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
     vector: bool = False   # whether `weights --mode vector` applies
     note: str = ""         # extra `weights` report line, formatted with eps
     # `study` defaults where they differ from `weights`
@@ -173,9 +155,8 @@ _PIPELINES = {
         epsilon=lambda s, a: a.epsilon or default_epsilon(s),
         build=lambda s, eps, a: build_collar(s, CollarConfig(eps)),
         tag=lambda collar, eps: f"collar eps={eps:.17g}",
-        domain=_collar_domain,
+        per_point=lambda meta: 2,
         total=_half_sum,
-        policy=COLLAR_SOLVER_DEFAULTS.negative_weight_policy,
         note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
     "tube": _Pipeline(
         solve=_solve_tube, query_count=lambda s, a: 2 * len(s),
@@ -184,7 +165,7 @@ _PIPELINES = {
         build=_build_tube,
         tag=lambda tube, eps: (f"tube r={tube.directions.codim} q={tube.directions.count} "
                                f"eps={eps:.17g}"),
-        domain=_tube_domain, total=_tube_total),
+        per_point=lambda meta: int(meta["q"]), total=_tube_total),
     "s2-cap": _Pipeline(
         solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap, write=_write_cap,
         queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
@@ -192,23 +173,25 @@ _PIPELINES = {
 }
 
 _FIXTURES = {
-    "sphere": _Fixture("closed", lambda a, n: gen_fibonacci_sphere(n), lambda a: sphere_spec()),
+    "sphere": _Fixture("closed", lambda a, n: gen_fibonacci_sphere(n),
+                       lambda a, s: sphere_spec()),
     "sphere-nd": _Fixture("closed", lambda a, n: gen_sphere_nd(n, a.dim, a.seed),
-                          lambda a: sphere_spec(a.dim)),
+                          lambda a, s: sphere_spec(s.dim)),
     "ellipsoid": _Fixture("closed", lambda a, n: gen_ellipsoid(a.a, a.b, a.c, n, a.seed),
-                          lambda a: ellipsoid_spec(a.a, a.b, a.c)),
+                          lambda a, s: ellipsoid_spec(a.a, a.b, a.c)),
     "hemisphere": _Fixture("collar", lambda a, n: gen_hemisphere(n),
-                           lambda a: hemisphere_spec()),
-    "circle-r3": _Fixture("tube", lambda a, n: gen_circle_r3(n), lambda a: circle_r3_spec()),
+                           lambda a, s: hemisphere_spec()),
+    "circle-r3": _Fixture("tube", lambda a, n: gen_circle_r3(n),
+                          lambda a, s: circle_r3_spec()),
     "s2-cap": _Fixture("s2-cap", lambda a, n: cap_boundary_sample(a.alpha, n),
-                       lambda a: s2_cap_spec(a.alpha)),
+                       lambda a, s: s2_cap_spec(cap_angle(s))),
 }
 FIXTURES = tuple(_FIXTURES)
 PIPELINES = tuple(_PIPELINES)
 STUDY_HEADER = ["N", "eps", "lambda", "residual", "integral", "ref", "rel_err", "seconds"]
 
 
-def _spec(args, pipeline: str):
+def _spec(args, pipeline: str, sample):
     """The reference spec of --fixture, which must be a sample of this pipeline."""
     if not args.fixture:
         return None
@@ -216,7 +199,7 @@ def _spec(args, pipeline: str):
     if fixture.pipeline != pipeline:
         raise SurfquadError(f"fixture {args.fixture} is a {fixture.pipeline} sample, "
                             f"not a {pipeline} one")
-    return fixture.spec(args)
+    return fixture.spec(args, sample)
 
 
 def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
@@ -225,9 +208,8 @@ def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
     built = row.build(sample, eps, args)
     count = args.query_count or (study and row.study_query_count) or row.query_count(sample, args)
     margin = row.study_margin if study and args.margin is None else args.margin
-    queries = row.queries(spec, count, seed, eps, margin, args)
-    config = SolverConfig(regularization=args.regularization,
-                          negative_weight_policy=row.policy)
+    queries = row.queries(sample, spec, count, seed, eps, margin, args)
+    config = SolverConfig(regularization=args.regularization)
     return (eps, built, *row.solve(built, queries, args, config))
 
 
@@ -252,7 +234,7 @@ def cmd_generate(args) -> int:
     # draw the queries before writing anything, so a failed draw leaves no file
     queries = None
     if args.queries_path:
-        queries = interior_queries(fixture.spec(args), args.query_count or args.count,
+        queries = interior_queries(fixture.spec(args, sample), args.query_count or args.count,
                                    args.query_seed, margin=args.margin,
                                    epsilon=row.epsilon(sample, args))
     row.write(args.output, sample)
@@ -280,8 +262,8 @@ def cmd_weights(args) -> int:
     if args.mode == "vector" and not row.vector:
         raise SurfquadError("--mode vector applies to the closed pipeline only; "
                             f"{args.pipeline} solves for scalar elements")
-    spec = _spec(args, args.pipeline)
     sample = row.read(args.sample_path)
+    spec = _spec(args, args.pipeline, sample)
     eps, built, sol, points, normals = _solve(row, sample, spec, args, args.query_seed)
     textio.write_weights(args.output, points, sol.tau, normals=normals, offset=sol.offset,
                          extra=row.tag(built, eps))
@@ -295,11 +277,15 @@ def cmd_integrate(args) -> int:
     """Apply the summation rule of the construction the weight file's header names."""
     record = textio.read_weights(args.weights_path)
     pipeline = _pipeline_of(record)
-    spec = _spec(args, pipeline)
     row = _PIPELINES[pipeline]
-    domain_pts = row.domain(record, row.read(args.sample_path))
-    value = row.total(evaluate_integrand(args.integrand, domain_pts), record.tau, record.meta)
-    print(f"integral[{args.integrand}] = {value:.10g}  ({len(domain_pts)} sample points)")
+    sample = row.read(args.sample_path)
+    spec = _spec(args, pipeline, sample)
+    k = row.per_point(record.meta)
+    if len(record.tau) != k * len(sample):
+        raise SurfquadError(f"{pipeline} weight file holds {len(record.tau)} weights, "
+                            f"not {k} per point of the {len(sample)}-point sample")
+    value = row.total(evaluate_integrand(args.integrand, sample.points), record.tau, record.meta)
+    print(f"integral[{args.integrand}] = {value:.10g}  ({len(sample)} sample points)")
     ref = spec.analytic_integrals.get(args.integrand) if spec is not None else None
     if ref is not None:
         err = abs(value - ref) / max(abs(ref), 1e-300) if ref else abs(value)
@@ -310,8 +296,6 @@ def cmd_integrate(args) -> int:
 
 def cmd_indicator(args) -> int:
     record = textio.read_weights(args.weights_path)
-    if record.normals is None:
-        raise SurfquadError("indicator evaluation needs a weight file with normals")
     queries = textio.read_cloud(args.queries_path)
     field = _PIPELINES[_pipeline_of(record)].field(queries.dim)
     chi = double_layer(field, queries.points, record.points,
@@ -332,12 +316,13 @@ def cmd_study(args) -> int:
     if not sizes:
         raise SurfquadError("empty --sizes list")
     fixture = _FIXTURES[args.fixture]
-    row, spec = _PIPELINES[fixture.pipeline], fixture.spec(args)
-    ref = spec.analytic_integrals["const1"]
+    row = _PIPELINES[fixture.pipeline]
     rows = []
     for i, n in enumerate(sizes):
         start = time.perf_counter()
         sample = fixture.generate(args, n)
+        spec = fixture.spec(args, sample)
+        ref = spec.analytic_integrals["const1"]
         eps, built, sol, _, _ = _solve(row, sample, spec, args, args.seed + i, study=True)
         integral = row.total(None, sol.tau, _header_meta(row.tag(built, eps)))
         rows.append([n, eps or 0.0, sol.diagnostics.regularization, sol.residual_norm,
@@ -359,16 +344,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Meshless integration on point-sampled submanifolds")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # weights and integrate read the dimension and the cap angle off the sample
     def fixture_args(p):
         p.add_argument("--fixture", choices=FIXTURES)
-        p.add_argument("--dim", type=int, default=3)
         p.add_argument("--a", type=float, default=1.0)
         p.add_argument("--b", type=float, default=1.0)
         p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=np.pi / 3)
 
     g = sub.add_parser("generate", help="write fixture samples (and optional queries)")
     fixture_args(g)
+    g.add_argument("--dim", type=int, default=3)
+    g.add_argument("--alpha", type=float, default=np.pi / 3)
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", required=True)

@@ -18,11 +18,6 @@ from .solver import (NegativeWeightPolicy, SolverConfig, WeightSolution,
                      solve_weights)
 from .tube import TubeSample
 
-# Near-antiparallel face pairs make the sign of a raw collar weight pure
-# orientation noise; keeping magnitudes (instead of clamping) preserves the
-# pair sums the half-sum rule needs.
-COLLAR_SOLVER_DEFAULTS = SolverConfig(negative_weight_policy=NegativeWeightPolicy.FLIP)
-
 
 def solve_closed_scalar(sample: OrientedSample, queries: PointCloud,
                         solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
@@ -48,7 +43,7 @@ class CollarSolution:
 
 
 def solve_collar(collar: CollarSample, queries: PointCloud,
-                 solver_config: SolverConfig = COLLAR_SOLVER_DEFAULTS) -> CollarSolution:
+                 solver_config: SolverConfig = SolverConfig()) -> CollarSolution:
     """Scalar solve over both collar faces against queries inside the solid.
 
     Assembly uses the outward orientation of the collar boundary (the stored
@@ -56,7 +51,12 @@ def solve_collar(collar: CollarSample, queries: PointCloud,
     rhs = 1 and positive elements.
     """
     outward = collar.outward()
-    sol = solve_closed_scalar(outward, queries, solver_config)
+    system = assemble_scalar_system(queries, outward, KernelConfig(outward.dim))
+    # Near-antiparallel face pairs make the sign of a raw collar weight pure
+    # orientation noise; flipping it to its magnitude (instead of clamping)
+    # preserves the pair sums the half-sum rule needs.
+    sol = solve_weights(system, solver_config, normals=outward.normals,
+                        policy=NegativeWeightPolicy.FLIP)
     half = len(collar.front)
     return CollarSolution(solution=sol, front_tau=sol.tau[:half], back_tau=sol.tau[half:])
 

@@ -112,6 +112,16 @@ def cap_boundary_sample(alpha: float, count: int) -> ManifoldBoundarySample:
     return ManifoldBoundarySample(PointCloud(pts), conormals)
 
 
+def cap_angle(sample: ManifoldBoundarySample) -> float:
+    """The colatitude every boundary point shares: the angle of the polar cap they bound."""
+    colatitude = np.arccos(np.clip(sample.points[:, 2], -1.0, 1.0))
+    spread = float(np.ptp(colatitude))
+    if spread > TANGENT_TOL:
+        raise ValueError(f"sample points share no colatitude (they spread over {spread:.3g} "
+                         f"rad), so they bound no polar cap")
+    return float(colatitude[0])
+
+
 def cap_query_points(alpha: float, count: int, seed: int, side: str = "interior",
                      margin: float | None = None) -> PointCloud:
     """Seeded on-sphere queries inside (or outside) the polar cap.

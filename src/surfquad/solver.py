@@ -75,20 +75,12 @@ class IndicatorSystem:
         if not np.all(np.isin(b, (0.0, 0.5, 1.0))):
             raise ValueError("rhs entries must be 0, 1/2 or 1")
 
-    @property
-    def query_count(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tikhonov weight lambda and negative-weight handling.
-
-    regularization=None picks lambda = 1e-6 * max|A| at solve time.
-    """
+    """Tikhonov weight lambda; None picks lambda = 1e-6 * max|A| at solve time."""
 
     regularization: float | None = AUTO_REGULARIZATION
-    negative_weight_policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
 
     def __post_init__(self):
         if self.regularization is not None and self.regularization < 0:
@@ -125,16 +117,6 @@ class WeightSolution:
             raise ValueError("tau must be nonnegative")
 
 
-def _rhs_values(rhs, count: int) -> np.ndarray:
-    """rhs=None is 1 on every row: the indicator at interior queries."""
-    if rhs is None:
-        return np.ones(count)
-    vals = np.asarray(rhs, dtype=float)
-    if vals.shape != (count,):
-        raise ValueError("per-row rhs must have one value per query")
-    return vals
-
-
 def double_layer(field, queries: np.ndarray, points: np.ndarray,
                  vectors: np.ndarray | None = None, summed: bool = False) -> np.ndarray:
     """Double-layer potential of a kernel field, built in chunks of QUERY_CHUNK queries.
@@ -165,19 +147,17 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
 
 
 def assemble_vector_system(queries: PointCloud, sample: PointCloud,
-                           config: KernelConfig, rhs=None) -> IndicatorSystem:
-    """Rows K(x_i, y_j)_k over columns (j, k); unknowns are the mu_jk."""
+                           config: KernelConfig) -> IndicatorSystem:
+    """Rows K(x_i, y_j)_k over columns (j, k), rhs 1 at the interior queries; unknowns mu_jk."""
     A = double_layer(config.field, queries.points, sample.points)
-    return IndicatorSystem(A, _rhs_values(rhs, len(queries)),
-                           SystemLayout.VECTOR_UNKNOWNS, len(sample))
+    return IndicatorSystem(A, np.ones(len(queries)), SystemLayout.VECTOR_UNKNOWNS, len(sample))
 
 
 def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
-                           config: KernelConfig, rhs=None) -> IndicatorSystem:
-    """Rows dot(K(x_i, y_j), N(y_j)); unknowns are the scalars tau_j."""
+                           config: KernelConfig) -> IndicatorSystem:
+    """Rows dot(K(x_i, y_j), N(y_j)), rhs 1 at the interior queries; unknowns tau_j."""
     A = double_layer(config.field, queries.points, sample.points, sample.normals)
-    return IndicatorSystem(A, _rhs_values(rhs, len(queries)),
-                           SystemLayout.SCALAR_UNKNOWNS, len(sample))
+    return IndicatorSystem(A, np.ones(len(queries)), SystemLayout.SCALAR_UNKNOWNS, len(sample))
 
 
 def _solver_path(shape: tuple[int, int], lam: float) -> str:
@@ -222,10 +202,13 @@ def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
 
 
 def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig(),
-                  normals: np.ndarray | None = None) -> WeightSolution:
+                  normals: np.ndarray | None = None, *,
+                  policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
+                  ) -> WeightSolution:
     """Solve the indicator system and unpack mu/tau per the system layout.
 
-    Scalar layouts need the sample normals to reconstruct mu_j = tau_j N(y_j).
+    Scalar layouts need the sample normals to reconstruct mu_j = tau_j N(y_j),
+    and apply policy to their negative raw weights.
     """
     A, b = system.matrix, system.rhs
     if A.shape[0] < 1:
@@ -256,7 +239,7 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
             raise ValueError("normals count must match the sample count")
         negative = int(np.sum(raw < 0))
         removed = float(np.sum(np.maximum(-raw, 0.0)))
-        if config.negative_weight_policy is NegativeWeightPolicy.CLAMP_TO_ZERO:
+        if policy is NegativeWeightPolicy.CLAMP_TO_ZERO:
             tau = np.maximum(raw, 0.0)
             action = f"clamping {negative} negative raw weights removed"
         else:

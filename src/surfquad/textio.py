@@ -2,10 +2,11 @@
 
 One point per line, whitespace-separated reals: n columns for bare clouds,
 2n for oriented samples (point then normal), n + r*n for framed samples
-(point then frame rows). Lines starting with '#' are comments; a header
-comment carries `dim=<n> codim=<r>`; weight files add the `tau` flag and
-the tags of their construction (`collar eps=...`, `tube r=... q=... eps=...`,
-`manifold=s2`, `offset=...`).
+(point then frame rows), 2n + 1 for solved weights (point, normal, tau).
+Lines starting with '#' are comments; a header comment carries
+`dim=<n> codim=<r>`; weight files add the `tau` flag and the tags of their
+construction (`collar eps=...`, `tube r=... q=... eps=...`, `manifold=s2`,
+`offset=...`).
 Floats are written with 17 significant digits so files round-trip losslessly
 and regeneration under identical flags is byte-identical.
 """
@@ -106,19 +107,17 @@ class WeightRecord:
     """Read-side view of a solved-weights file."""
 
     points: np.ndarray
-    normals: np.ndarray | None
+    normals: np.ndarray
     tau: np.ndarray
     offset: float | None
     meta: dict
     flags: frozenset
 
 
-def write_weights(path, points: np.ndarray, tau: np.ndarray,
-                  normals: np.ndarray | None = None,
+def write_weights(path, points: np.ndarray, tau: np.ndarray, normals: np.ndarray,
                   offset: float | None = None, extra: str = ""):
     points = np.asarray(points, dtype=float)
-    blocks = [points] + ([np.asarray(normals, dtype=float)] if normals is not None else [])
-    blocks.append(np.asarray(tau, dtype=float)[:, None])
+    blocks = [points, np.asarray(normals, dtype=float), np.asarray(tau, dtype=float)[:, None]]
     tags = "tau" + (f" offset={_FMT % offset}" if offset is not None else "")
     if extra:
         tags += " " + extra
@@ -132,14 +131,9 @@ def read_weights(path) -> WeightRecord:
     if "tau" not in flags:
         raise ValueError(f"{path}: weight files need the 'tau' header flag")
     dim = int(meta.get("dim", 3))
-    cols = data.shape[1]
-    if cols == dim + 1:
-        normals = None
-    elif cols == 2 * dim + 1:
-        normals = data[:, dim:-1]
-    else:
-        raise ValueError(f"{path}: expected {dim + 1} or {2 * dim + 1} columns")
+    if data.shape[1] != 2 * dim + 1:
+        raise ValueError(f"{path}: expected {2 * dim + 1} columns (point, normal, tau)")
     offset = float(meta["offset"]) if "offset" in meta else None
-    return WeightRecord(points=data[:, :dim], normals=normals,
+    return WeightRecord(points=data[:, :dim], normals=data[:, dim:-1],
                         tau=data[:, -1], offset=offset,
                         meta=meta, flags=frozenset(flags))

@@ -8,7 +8,7 @@ import pytest
 
 from surfquad import textio
 from surfquad.errors import ClampedMassWarning
-from surfquad.geometry import PointCloud, circle_r3_spec, interior_queries
+from surfquad.geometry import OrientedSample, PointCloud, circle_r3_spec, interior_queries
 from surfquad.cli import main
 
 
@@ -74,7 +74,7 @@ def test_weights_s2_cap_reports_offset(tmp_path, capsys):
     s, w = tmp_path / "cap.txt", tmp_path / "w.txt"
     alpha = np.pi / 3
     run(["generate", "--fixture", "s2-cap", "--alpha", alpha, "--count", 200, "-o", s])
-    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--alpha", alpha,
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s,
                 "--query-count", 40, "--query-seed", 2, "-o", w]) == 0
     out = capsys.readouterr().out
     assert "offset c" in out
@@ -91,7 +91,7 @@ def test_weights_s2_cap_honours_margin(tmp_path):
     alpha = np.pi / 3
     run(["generate", "--fixture", "s2-cap", "--alpha", alpha, "--count", 200, "-o", s])
     for out, extra in ((w, []), (w_margin, ["--margin", 0.05])):
-        assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--alpha", alpha,
+        assert run(["weights", "--pipeline", "s2-cap", "--sample", s,
                     "--query-count", 40, "--query-seed", 2, "-o", out, *extra]) == 0
     assert w.read_bytes() != w_margin.read_bytes()
     # the weights are those of the library solve at the requested margin
@@ -118,6 +118,30 @@ def test_s2_cap_rejects_query_files(tmp_path, capsys):
     assert not w.exists()
 
 
+def test_s2_cap_angle_comes_from_the_sample(tmp_path, capsys):
+    s, w = tmp_path / "cap.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", "s2-cap", "--alpha", 0.5, "--count", 150, "-o", s])
+    # no angle flag: the queries sit inside and outside the alpha = 0.5 cap
+    # of the sample, so no real mass is clamped (which would warn)
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "-o", w]) == 0
+    total = float(re.search(r"sum of elements: (\S+)", capsys.readouterr().out).group(1))
+    assert total == pytest.approx(2.0 * np.pi * np.sin(0.5), rel=0.05)
+
+
+def test_s2_cap_sample_without_one_colatitude_rejected(tmp_path, capsys):
+    from surfquad.riemannian import cap_boundary_sample
+
+    s, w = tmp_path / "caps.txt", tmp_path / "w.txt"
+    # two cap circles in one sample file
+    caps = [cap_boundary_sample(alpha, 50) for alpha in (np.pi / 3, np.pi / 4)]
+    both = OrientedSample(PointCloud(np.vstack([c.points for c in caps])),
+                          np.vstack([c.conormals for c in caps]))
+    textio.write_oriented(s, both, extra="manifold=s2")
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "-o", w]) == 1
+    assert "share no colatitude" in capsys.readouterr().err
+    assert not w.exists()
+
+
 @pytest.mark.parametrize("pipeline,fixture", [
     ("collar", "hemisphere"), ("tube", "circle-r3"), ("s2-cap", "s2-cap")])
 def test_weights_vector_mode_closed_only(tmp_path, capsys, pipeline, fixture):
@@ -133,7 +157,8 @@ def test_weights_vector_mode_closed_only(tmp_path, capsys, pipeline, fixture):
     ("weights", "--softening", 0.3), ("study", "--softening", 0.3),
     ("indicator", "--softening", 0.3), ("weights", "--rhs-mode", "half"),
     ("study", "--rhs-mode", "half"), ("weights", "--policy", "clamp"),
-    ("study", "--policy", "keep")])
+    ("study", "--policy", "keep"), ("weights", "--alpha", 0.5), ("weights", "--dim", 3),
+    ("integrate", "--alpha", 0.5), ("integrate", "--dim", 3)])
 def test_removed_kernel_and_rhs_flags_are_usage_errors(tmp_path, command, flag, value):
     s, q, w, out = (tmp_path / "s.txt", tmp_path / "q.txt",
                     tmp_path / "w.txt", tmp_path / "out.txt")
@@ -144,12 +169,13 @@ def test_removed_kernel_and_rhs_flags_are_usage_errors(tmp_path, command, flag, 
                          normals=sample.normals)
     # each command line is valid without the removed flag
     argv = {
-        "weights": ["weights", "--pipeline", "closed", "--sample", s, "--queries", q],
-        "study": ["study", "--fixture", "sphere", "--sizes", 100],
-        "indicator": ["indicator", "--weights", w, "--queries", q],
+        "weights": ["weights", "--pipeline", "closed", "--sample", s, "--queries", q, "-o", out],
+        "study": ["study", "--fixture", "sphere", "--sizes", 100, "-o", out],
+        "indicator": ["indicator", "--weights", w, "--queries", q, "-o", out],
+        "integrate": ["integrate", "--sample", s, "--weights", w],
     }[command]
     with pytest.raises(SystemExit) as exc:
-        run([*argv, flag, value, "-o", out])
+        run([*argv, flag, value])
     assert exc.value.code == 2
     assert not out.exists()
 
@@ -208,10 +234,10 @@ def test_sphere_nd_fixture_lives_in_rn(tmp_path, capsys):
     # random points on S^3 do not resolve the indicator at 400 samples
     with pytest.warns(ClampedMassWarning, match="clamping"):
         assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere-nd",
-                    "--dim", 4, "-o", w]) == 0
+                    "-o", w]) == 0
     capsys.readouterr()
-    assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere-nd",
-                "--dim", 4]) == 0
+    # the dimension of the reference values is the sample's: 2 pi^2, not 4 pi
+    assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere-nd"]) == 0
     assert "reference = 19.7392088" in capsys.readouterr().out
 
 
@@ -263,6 +289,19 @@ def test_integrate_mismatched_files_error(tmp_path):
     assert run(["integrate", "--sample", s2, "--weights", w]) == 1
 
 
+def test_integrate_rejects_weights_without_normals(tmp_path, capsys):
+    c, w = tmp_path / "c.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", "circle-r3", "--count", 60, "-o", c])
+    assert run(["weights", "--pipeline", "tube", "--sample", c, "--fixture", "circle-r3",
+                "-o", w]) == 0
+    # the same tube weights with the normal columns cut out
+    header = w.read_text().splitlines()[0]
+    np.savetxt(w, np.loadtxt(w)[:, [0, 1, 2, -1]], header=header[2:])
+    capsys.readouterr()
+    assert run(["integrate", "--sample", c, "--weights", w]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_indicator_csv(tmp_path):
     s, w, q, out = (tmp_path / "s.txt", tmp_path / "w.txt",
                     tmp_path / "q.txt", tmp_path / "chi.csv")
@@ -283,7 +322,7 @@ def test_indicator_on_cap_weights_uses_sphere_field(tmp_path):
                     tmp_path / "q.txt", tmp_path / "chi.csv")
     alpha = np.pi / 3
     run(["generate", "--fixture", "s2-cap", "--alpha", alpha, "--count", 300, "-o", s])
-    run(["weights", "--pipeline", "s2-cap", "--sample", s, "--alpha", alpha,
+    run(["weights", "--pipeline", "s2-cap", "--sample", s,
          "--query-count", 40, "--query-seed", 2, "-o", w])
     # probe both sides: indicator should be ~1 inside the cap, ~0 outside
     from surfquad.riemannian import cap_query_points
@@ -348,3 +387,25 @@ def test_study_empty_sizes_rejected(tmp_path):
 def test_missing_file_errors(tmp_path):
     assert run(["weights", "--pipeline", "closed", "--sample", tmp_path / "no.txt",
                 "--fixture", "sphere", "-o", tmp_path / "w.txt"]) == 1
+
+
+# every long option of each subcommand; a new knob is a reviewed change here
+@pytest.mark.parametrize("command,options", [
+    ("generate", ["--a", "--alpha", "--b", "--c", "--count", "--dim", "--epsilon", "--fixture",
+                  "--help", "--margin", "--output", "--queries", "--query-count",
+                  "--query-seed", "--seed"]),
+    ("weights", ["--a", "--b", "--c", "--epsilon", "--fixture", "--help", "--lambda",
+                 "--margin", "--mode", "--output", "--pipeline", "--q-directions", "--queries",
+                 "--query-count", "--query-seed", "--sample"]),
+    ("integrate", ["--a", "--b", "--c", "--fixture", "--help", "--integrand", "--sample",
+                   "--weights"]),
+    ("indicator", ["--help", "--output", "--queries", "--weights"]),
+    ("study", ["--alpha", "--epsilon", "--fixture", "--help", "--lambda", "--margin",
+               "--output", "--q-directions", "--query-count", "--seed", "--sizes"]),
+])
+def test_subcommand_long_options(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    found = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert sorted(found) == options

@@ -12,7 +12,7 @@ from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
                                median_nn_spacing, sphere_spec)
 from surfquad.kernel import KernelConfig
 from surfquad.pipelines import solve_closed_scalar, solve_collar
-from surfquad.solver import SolverConfig
+from surfquad.solver import IndicatorSystem, SolverConfig, SystemLayout
 
 
 def _single_point_sample():
@@ -163,7 +163,8 @@ def test_hemisphere_front_back_weight_agreement():
               * (0.75 * rng.random(150) ** (1.0 / 3.0))[:, None])
     queries = PointCloud(np.vstack([shell, cavity]))
     rhs = np.concatenate([np.ones(len(shell)), np.zeros(150)])
-    system = assemble_scalar_system(queries, outward, KernelConfig(3), rhs)
+    A = assemble_scalar_system(queries, outward, KernelConfig(3)).matrix
+    system = IndicatorSystem(A, rhs, SystemLayout.SCALAR_UNKNOWNS, len(outward))
     sol = solve_weights(system, SolverConfig(regularization=1.0), normals=outward.normals)
     front, back = sol.tau[:2000], sol.tau[2000:]
     median_gap = np.median(np.abs(front - back) / np.maximum(front, 1e-30))
@@ -192,7 +193,8 @@ def test_collar_on_closed_surface_consistent_with_single_copy():
     cavity = unit_dirs(300) * (0.6 * rng.random(300) ** (1.0 / 3.0))[:, None]
     queries = PointCloud(np.vstack([shell, cavity]))
     rhs = np.concatenate([np.ones(300), np.zeros(300)])
-    system = assemble_scalar_system(queries, outward, KernelConfig(3), rhs)
+    A = assemble_scalar_system(queries, outward, KernelConfig(3)).matrix
+    system = IndicatorSystem(A, rhs, SystemLayout.SCALAR_UNKNOWNS, len(outward))
     sol = solve_weights(system, SolverConfig(), normals=outward.normals)
     collar_area = integrate_with_boundary(np.ones(2000), sol.tau[:2000], sol.tau[2000:])
 

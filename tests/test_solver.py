@@ -59,9 +59,9 @@ def test_vector_rows_against_exact_elements():
 def test_scalar_assembly_entry_and_flip():
     q = PointCloud(np.zeros((1, 3)))
     s = OrientedSample(PointCloud(np.array([[1.0, 0, 0]])), np.array([[1.0, 0, 0]]))
-    system = assemble_scalar_system(q, s, KernelConfig(3), np.array([0.5]))
+    system = assemble_scalar_system(q, s, KernelConfig(3))
     assert system.matrix[0, 0] == pytest.approx(1.0 / (4.0 * np.pi))
-    assert system.rhs.tolist() == [0.5]
+    assert system.rhs.tolist() == [1.0]
     flipped = assemble_scalar_system(q, s.flipped(), KernelConfig(3))
     assert np.allclose(flipped.matrix, -system.matrix)
 
@@ -93,8 +93,13 @@ def test_assembly_rejects_coincident_points_unsoftened():
 def test_assembly_per_row_rhs():
     q = PointCloud(np.array([[0.0, 0, 0], [0.0, 0, 0.1]]))
     s = PointCloud(np.array([[1.0, 0, 0]]))
-    system = assemble_vector_system(q, s, KernelConfig(3), np.array([1.0, 0.0]))
-    assert system.rhs.tolist() == [1.0, 0.0]
+    # assembled rows are interior queries; a per-row rhs pairs with the matrix
+    # in an IndicatorSystem of its own
+    system = assemble_vector_system(q, s, KernelConfig(3))
+    assert system.rhs.tolist() == [1.0, 1.0]
+    mixed = IndicatorSystem(system.matrix, np.array([1.0, 0.0]), system.layout,
+                            system.sample_count)
+    assert mixed.rhs.tolist() == [1.0, 0.0]
 
 
 # --- solve -------------------------------------------------------------------
@@ -191,9 +196,9 @@ def test_solve_weights_matches_oracle_end_to_end():
     lam = 1e-3
     # a random system is no indicator: its flip carries most of the mass
     with pytest.warns(ClampedMassWarning, match="flipping"):
-        sol = solve_weights(system, SolverConfig(regularization=lam,
-                                                 negative_weight_policy=NegativeWeightPolicy.FLIP),
-                            normals=rng.standard_normal((20, 3)))
+        sol = solve_weights(system, SolverConfig(regularization=lam),
+                            normals=rng.standard_normal((20, 3)),
+                            policy=NegativeWeightPolicy.FLIP)
     oracle = normal_equations_solve(A, rhs, lam)
     assert np.linalg.norm(sol.tau - np.abs(oracle)) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -231,9 +236,8 @@ def test_negative_weight_policies():
     normals = np.array([[1.0, 0, 0], [0, 1.0, 0]])
     # the flip carries half of the kept mass, so it must warn like a clamp
     with pytest.warns(ClampedMassWarning, match="flipping 1 negative raw weights"):
-        flip = solve_weights(system, SolverConfig(
-            regularization=0.0, negative_weight_policy=NegativeWeightPolicy.FLIP),
-            normals=normals)
+        flip = solve_weights(system, SolverConfig(regularization=0.0), normals=normals,
+                             policy=NegativeWeightPolicy.FLIP)
     assert np.allclose(flip.tau, [0.0, 1.0])
     assert flip.diagnostics.negative_count == 1
     assert flip.diagnostics.removed_mass == pytest.approx(1.0)

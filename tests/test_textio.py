@@ -48,12 +48,13 @@ def test_weights_round_trip_with_offset(tmp_path):
 
 
 def test_weights_without_normals(tmp_path):
+    # every weight file carries normals: point, normal, tau
     pts = np.random.default_rng(1).standard_normal((5, 3))
     path = tmp_path / "w.txt"
-    textio.write_weights(path, pts, np.ones(5))
-    rec = textio.read_weights(path)
-    assert rec.normals is None and rec.offset is None
-    assert np.array_equal(rec.points, pts)
+    path.write_text("# dim=3 codim=1 tau\n"
+                    + "".join(f"{x} {y} {z} 1\n" for x, y, z in pts))
+    with pytest.raises(ValueError, match="expected 7 columns"):
+        textio.read_weights(path)
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):

@@ -270,10 +270,14 @@ def test_codim1_tube_matches_collar_limit():
     t = rng.uniform(-eps / 2, eps / 2, 1000)
     queries = PointCloud(d * (1.0 + t)[:, None])
 
-    from surfquad.pipelines import COLLAR_SOLVER_DEFAULTS
+    from surfquad.kernel import KernelConfig
+    from surfquad.solver import NegativeWeightPolicy, assemble_scalar_system, solve_weights
 
+    # the tube solve with the collar's flip in place of the clamp
+    system = assemble_scalar_system(queries, tube.boundary, KernelConfig(3))
     with pytest.warns(ClampedMassWarning, match="flipping"):
-        sol = solve_tube(tube, queries, solver_config=COLLAR_SOLVER_DEFAULTS)
+        sol = solve_weights(system, normals=tube.boundary.normals,
+                            policy=NegativeWeightPolicy.FLIP)
     tube_area = integrate_codim(np.ones(1000), sol.tau, dirs)
 
     inner = OrientedSample(PointCloud(sphere.points * (1.0 - eps)), sphere.normals)
