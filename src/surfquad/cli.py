@@ -172,13 +172,32 @@ _PIPELINES = {
         field=lambda dim: SphereModel().field),
 }
 
+# a sample file does not record its ellipsoid's axes; a point this far from
+# x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 (17-digit files round to about 1e-15) means
+# --a/--b/--c name another ellipsoid
+ON_ELLIPSOID_TOL = 1e-9
+
+
+def _ellipsoid_fixture_spec(args, sample):
+    """The spec of the ellipsoid --a/--b/--c name, which the sample must lie on."""
+    spec = ellipsoid_spec(args.a, args.b, args.c)
+    off = (float(np.max(np.abs(np.sum((sample.points / spec.radii) ** 2, axis=1) - 1.0)))
+           if sample.dim == 3 else np.inf)
+    if not off <= ON_ELLIPSOID_TOL:
+        raise SurfquadError(
+            f"sample does not lie on the ellipsoid a={args.a:g} b={args.b:g} c={args.c:g}: "
+            f"max |x^2/a^2 + y^2/b^2 + z^2/c^2 - 1| = {off:.3g} > {ON_ELLIPSOID_TOL:g}; "
+            f"pass the --a/--b/--c the sample was generated with")
+    return spec
+
+
 _FIXTURES = {
     "sphere": _Fixture("closed", lambda a, n: gen_fibonacci_sphere(n),
                        lambda a, s: sphere_spec()),
     "sphere-nd": _Fixture("closed", lambda a, n: gen_sphere_nd(n, a.dim, a.seed),
                           lambda a, s: sphere_spec(s.dim)),
     "ellipsoid": _Fixture("closed", lambda a, n: gen_ellipsoid(a.a, a.b, a.c, n, a.seed),
-                          lambda a, s: ellipsoid_spec(a.a, a.b, a.c)),
+                          _ellipsoid_fixture_spec),
     "hemisphere": _Fixture("collar", lambda a, n: gen_hemisphere(n),
                            lambda a, s: hemisphere_spec()),
     "circle-r3": _Fixture("tube", lambda a, n: gen_circle_r3(n),

@@ -25,24 +25,25 @@ class KernelConfig:
             raise ValueError("kernel requires ambient dimension n >= 3")
 
     def field(self, queries: np.ndarray, points: np.ndarray,
-              vectors: np.ndarray | None = None) -> np.ndarray:
+              vectors: np.ndarray | None = None, work=None) -> np.ndarray:
         """The kernel block K(x_i, y_j), shape (N_X, N_Y, n), or with vectors v_j
         its rows dot(K(x_i, y_j), v_j), shape (N_X, N_Y).
 
         The rows come from (N_X, N_Y) arrays, one coordinate at a time. Each
         difference is taken per pair, not expanded into products with X, so
         near pairs do not cancel and relabeling the samples permutes the
-        rows bit for bit.
+        rows bit for bit. work, if given, is four (N_X, N_Y) float arrays
+        (d, t, rho2, num) to build them in; the rows are returned in num.
         """
         if vectors is None:
             return double_layer_block(queries, points, self)
         X, Y = _checked_pair(queries, points, self)
         V = np.asarray(vectors, dtype=float)
-        # four (N_X, N_Y) arrays: the difference d_k, a scratch t, and the sums
-        d = Y[:, 0] - X[:, 0, None]
-        num = d * V[:, 0]
-        rho2 = d * d
-        t = np.empty_like(d)
+        # the difference d_k, a scratch t, and the sums rho2 and num
+        d, t, rho2, num = np.empty((4, len(X), len(Y))) if work is None else work
+        np.subtract(Y[:, 0], X[:, 0, None], out=d)
+        np.multiply(d, V[:, 0], out=num)
+        np.multiply(d, d, out=rho2)
         for k in range(1, self.dim):
             np.subtract(Y[:, k], X[:, k, None], out=d)
             num += np.multiply(d, V[:, k], out=t)

@@ -29,10 +29,13 @@ from .errors import ClampedMassWarning, IllPosedSystemError
 from .geometry import OrientedSample, PointCloud
 from .kernel import KernelConfig
 
-# queries per evaluator chunk; bounds the memory of a few (chunk, N_Y) arrays
-# on the contracted Euclidean path, and of the (chunk, N_Y, n) kernel block on
-# vector assembly and on the S^2 field
+# queries per evaluator chunk on the block paths: bounds the (chunk, N_Y, n)
+# kernel block of vector assembly and of the S^2 field
 QUERY_CHUNK = 256
+# entries per scratch array on the contracted Euclidean path, whose chunks take
+# max(1, CHUNK_ENTRIES // N_Y) queries: a 512 KB array, so the four of one
+# chunk stay in L2 and one workspace serves every chunk
+CHUNK_ENTRIES = 1 << 16
 
 AUTO_REGULARIZATION = None
 _AUTO_SCALE = 1e-6
@@ -119,12 +122,14 @@ class WeightSolution:
 
 def double_layer(field, queries: np.ndarray, points: np.ndarray,
                  vectors: np.ndarray | None = None, summed: bool = False) -> np.ndarray:
-    """Double-layer potential of a kernel field, built in chunks of QUERY_CHUNK queries.
+    """Double-layer potential of a kernel field, built in chunks of queries.
 
     field(chunk, points, vectors) returns the rows sum_k K_ijk v_jk, shape (chunk, N);
     the Euclidean field(chunk, points) returns the kernel block K, shape (chunk, N, n).
     Without vectors the result is K's rows over columns (j, k); with vectors
     v_j it is the contracted rows, or with summed their sums over j.
+    The Euclidean contracted rows are built in one workspace of
+    max(1, CHUNK_ENTRIES // N)-query chunks; the block paths take QUERY_CHUNK.
     """
     if queries.shape[1] != points.shape[1]:
         raise ValueError("queries and sample must share an ambient dimension")
@@ -133,16 +138,30 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
         out = np.empty((m, points.size))
     else:
         out = np.empty(m if summed else (m, len(points)))
+    # the Euclidean field builds its contracted rows in a workspace; the S^2
+    # field builds a block per chunk, as vector assembly does
+    contracted = vectors is not None and isinstance(getattr(field, "__self__", None),
+                                                    KernelConfig)
+    step = max(1, CHUNK_ENTRIES // max(1, len(points))) if contracted else QUERY_CHUNK
+    if contracted:
+        # d, t and rho2, and num when summed; in row mode num is the result's rows
+        work = np.empty((3 + summed, min(step, m), len(points)))
     # each block goes straight into its reduction: a name bound to it would
     # keep the previous chunk's block alive while the next one is built
-    for lo in range(0, m, QUERY_CHUNK):
-        chunk = queries[lo:lo + QUERY_CHUNK]
+    for lo in range(0, m, step):
+        chunk = queries[lo:lo + step]
+        rows = out[lo:lo + len(chunk)]
         if vectors is None:
-            out[lo:lo + len(chunk)] = field(chunk, points).reshape(len(chunk), -1)
+            rows[...] = field(chunk, points).reshape(len(chunk), -1)
+        elif contracted:
+            planes = [*work[:, :len(chunk)]] + ([] if summed else [rows])
+            num = field(chunk, points, vectors, work=planes)
+            if summed:
+                num.sum(axis=1, out=rows)
         elif summed:
-            out[lo:lo + len(chunk)] = field(chunk, points, vectors).sum(axis=1)
+            rows[...] = field(chunk, points, vectors).sum(axis=1)
         else:
-            out[lo:lo + len(chunk)] = field(chunk, points, vectors)
+            rows[...] = field(chunk, points, vectors)
     return out
 
 

@@ -241,6 +241,30 @@ def test_sphere_nd_fixture_lives_in_rn(tmp_path, capsys):
     assert "reference = 19.7392088" in capsys.readouterr().out
 
 
+def test_ellipsoid_fixture_refuses_a_sample_off_its_axes(tmp_path, capsys):
+    s, w, w2 = tmp_path / "e.txt", tmp_path / "w.txt", tmp_path / "w2.txt"
+    axes = ["--a", 0.5, "--b", 0.6, "--c", 0.7]
+    assert run(["generate", "--fixture", "ellipsoid", *axes, "--count", 400, "--seed", 3,
+                "-o", s]) == 0
+    # without the axes the fixture names the unit sphere, which the sample is not on
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "ellipsoid",
+                "-o", w2]) == 1
+    assert "does not lie on the ellipsoid a=1 b=1 c=1" in capsys.readouterr().err
+    assert not w2.exists()
+    # a closed weight file for the sample, without a solve: random samples at
+    # 400 points clamp real mass (ROADMAP item 1), which is not under test here
+    sample = textio.read_oriented(s)
+    textio.write_weights(w, sample.points, np.full(len(sample), 4.5 / len(sample)),
+                         normals=sample.normals)
+    assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "ellipsoid"]) == 1
+    captured = capsys.readouterr()
+    assert "does not lie on the ellipsoid" in captured.err
+    assert "integral" not in captured.out and "reference" not in captured.out
+    assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "ellipsoid",
+                *axes]) == 0
+    assert "reference = " in capsys.readouterr().out
+
+
 def test_integrate_sphere_reference(tmp_path, capsys):
     s, w = tmp_path / "s.txt", tmp_path / "w.txt"
     run(["generate", "--fixture", "sphere", "--count", 500, "-o", s])

@@ -1,12 +1,14 @@
 """Kernel row and fundamental solution checks against closed forms and FD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from surfquad.errors import SingularEvaluationError
 from surfquad.kernel import (KernelConfig, double_layer_block, double_layer_row,
                              fundamental_solution, unit_sphere_measure)
-from surfquad.solver import QUERY_CHUNK, double_layer
+from surfquad.solver import CHUNK_ENTRIES, double_layer
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -101,11 +103,16 @@ def test_exact_gauss_identity(count, exact_sphere_weights):
     assert abs(total - 1.0) < 1e-12
 
 
+def _contracted_rows(count):
+    """Queries per chunk of the contracted Euclidean rows over count sample points."""
+    return max(1, CHUNK_ENTRIES // count)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_contracted_rows_match_block(n):
-    # more queries than one chunk, so the rows come from two field calls
+    # one full contracted chunk and a partial one, so the rows come from two field calls
     rng = np.random.default_rng(11)
-    X = rng.standard_normal((QUERY_CHUNK + 44, n))
+    X = rng.standard_normal((_contracted_rows(40) + 44, n))
     Y = rng.standard_normal((40, n))
     V = rng.standard_normal((40, n))
     cfg = KernelConfig(n)
@@ -115,6 +122,62 @@ def test_contracted_rows_match_block(n):
     assert np.max(np.abs(rows - expected)) <= 1e-14 * np.max(np.abs(expected))
     sums = double_layer(cfg.field, X, Y, V, summed=True)
     assert np.max(np.abs(sums - np.einsum("ijk,jk->i", block, V))) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("summed", [False, True])
+def test_coincident_pair_in_last_partial_chunk_raises(summed):
+    rng = np.random.default_rng(12)
+    Y = rng.standard_normal((40, 3))
+    X = rng.standard_normal((2 * _contracted_rows(40) + 5, 3))
+    X[-1] = Y[7]
+    cfg = KernelConfig(3)
+    double_layer(cfg.field, X[:-1], Y, Y)
+    with pytest.raises(SingularEvaluationError):
+        double_layer(cfg.field, X, Y, Y, summed=summed)
+
+
+def test_contracted_results_own_their_memory_and_sums_match_rows():
+    # the workspace is reused across chunks, never across calls
+    rng = np.random.default_rng(13)
+    Y = rng.standard_normal((40, 3))
+    V = rng.standard_normal((40, 3))
+    X = rng.standard_normal((_contracted_rows(40) + 44, 3))
+    cfg = KernelConfig(3)
+    rows = double_layer(cfg.field, X, Y, V)
+    again = double_layer(cfg.field, 2.0 * X, Y, V)
+    sums = double_layer(cfg.field, X, Y, V, summed=True)
+    sums_again = double_layer(cfg.field, 2.0 * X, Y, V, summed=True)
+    assert not np.shares_memory(rows, again)
+    assert not np.shares_memory(sums, sums_again)
+    assert np.array_equal(rows, double_layer(cfg.field, X, Y, V))
+    assert np.array_equal(sums, rows.sum(axis=1))
+    assert np.array_equal(sums_again, again.sum(axis=1))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_contracted_evaluation_memory():
+    # 2000 x 2000: the summed rows need one workspace of four 32-query chunk
+    # arrays (2 MB), whatever the query count
+    rng = np.random.default_rng(14)
+    Y = rng.standard_normal((2000, 3))
+    X = rng.standard_normal((2000, 3))
+    cfg = KernelConfig(3)
+    _, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y, Y, summed=True))
+    assert peak < 4e6
+    # rows are built in the result itself: three chunk arrays beside it, and
+    # numpy's transient ufunc buffers (two of np.getbufsize() doubles, 128 KiB),
+    # which stay under a fourth
+    out, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y, Y))
+    chunk = _contracted_rows(len(Y)) * len(Y) * out.itemsize
+    assert peak <= out.nbytes + 4 * chunk
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 7.3])
