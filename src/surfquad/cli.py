@@ -345,7 +345,7 @@ def cmd_study(args) -> int:
         eps, built, sol, _, _ = _solve(row, sample, spec, args, args.seed + i, study=True)
         integral = row.total(None, sol.tau, _header_meta(row.tag(built, eps)))
         rows.append([n, eps or 0.0, sol.diagnostics.regularization, sol.residual_norm,
-                     integral, ref, abs(integral - ref) / abs(ref),
+                     integral, ref, (integral - ref) / abs(ref),
                      time.perf_counter() - start])
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -24,30 +24,34 @@ class KernelConfig:
         if self.dim < 3:
             raise ValueError("kernel requires ambient dimension n >= 3")
 
-    def field(self, queries: np.ndarray, points: np.ndarray,
-              vectors: np.ndarray | None = None, work=None) -> np.ndarray:
-        """The kernel block K(x_i, y_j), shape (N_X, N_Y, n), or with vectors v_j
-        its rows dot(K(x_i, y_j), v_j), shape (N_X, N_Y).
+    def field(self, queries: np.ndarray, points: np.ndarray, vectors: np.ndarray | None,
+              work) -> np.ndarray:
+        """Write the rows of K(x_i, y_j) into work[-1] and return them.
 
-        The rows come from (N_X, N_Y) arrays, one coordinate at a time. Each
-        difference is taken per pair, not expanded into products with X, so
-        near pairs do not cancel and relabeling the samples permutes the
-        rows bit for bit. work, if given, is four (N_X, N_Y) float arrays
-        (d, t, rho2, num) to build them in; the rows are returned in num.
+        With vectors v_j the rows are dot(K(x_i, y_j), v_j), shape (N_X, N_Y);
+        without, work[-1] holds the kernel block K over columns (j, k), shape
+        (N_X, N_Y * n), and each difference d_k is written straight into its
+        strided plane. work[:3] are three (N_X, N_Y) scratch arrays (d, t,
+        rho2). Each difference is taken per pair, not expanded into products
+        with X, so near pairs do not cancel and relabeling the samples
+        permutes the rows bit for bit.
         """
-        if vectors is None:
-            return double_layer_block(queries, points, self)
         X, Y = _checked_pair(queries, points, self)
-        V = np.asarray(vectors, dtype=float)
-        # the difference d_k, a scratch t, and the sums rho2 and num
-        d, t, rho2, num = np.empty((4, len(X), len(Y))) if work is None else work
-        np.subtract(Y[:, 0], X[:, 0, None], out=d)
-        np.multiply(d, V[:, 0], out=num)
-        np.multiply(d, d, out=rho2)
-        for k in range(1, self.dim):
-            np.subtract(Y[:, k], X[:, k, None], out=d)
-            num += np.multiply(d, V[:, k], out=t)
-            rho2 += np.multiply(d, d, out=t)
+        d, t, rho2, rows = work[0], work[1], work[2], work[-1]
+        V = None if vectors is None else np.asarray(vectors, dtype=float)
+        # a view of the result: the planes must land in it, not in a copy
+        block = None if V is not None else rows.reshape((len(X), len(Y), self.dim), copy=False)
+        for k in range(self.dim):
+            dk = d if block is None else block[:, :, k]
+            np.subtract(Y[:, k], X[:, k, None], out=dk)
+            if k == 0:
+                np.multiply(dk, dk, out=rho2)
+                if V is not None:
+                    np.multiply(dk, V[:, 0], out=rows)
+            else:
+                rho2 += np.multiply(dk, dk, out=t)
+                if V is not None:
+                    rows += np.multiply(dk, V[:, k], out=t)
         # rho2 >= 0, so all() is false exactly when some pair coincides
         if not rho2.all():
             raise SingularEvaluationError("coincident query/sample point")
@@ -56,8 +60,11 @@ class KernelConfig:
         if self.dim % 2:
             den *= np.sqrt(rho2, out=d)
         den *= unit_sphere_measure(self.dim)
-        num /= den
-        return num
+        if block is None:
+            rows /= den
+        else:
+            block /= den[:, :, None]
+        return rows
 
 
 def unit_sphere_measure(n: int) -> float:
@@ -103,7 +110,8 @@ def _checked_pair(queries, sample, config: KernelConfig):
 def double_layer_block(queries: np.ndarray, sample: np.ndarray, config: KernelConfig) -> np.ndarray:
     """K(x_i, y_j) for all pairs, shape (N_X, N_Y, n).
 
-    Raises on any coincident pair.
+    Raises on any coincident pair. The evaluator does not call it: it is the
+    direct form that tests check KernelConfig.field against.
     """
     X, Y = _checked_pair(queries, sample, config)
     n = config.dim

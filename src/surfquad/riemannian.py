@@ -62,12 +62,14 @@ def s2_green_gradient(p, q) -> np.ndarray:
 class SphereModel:
     """Round unit sphere S^2 embedded in R^3; supplies its double-layer field."""
 
-    def field(self, queries: np.ndarray, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Rows -g(grad G(p_i, q_j), v_j) over query points p_i, shape (N_P, N_Q).
+    def field(self, queries: np.ndarray, points: np.ndarray, vectors: np.ndarray,
+              work) -> np.ndarray:
+        """Rows -g(grad G(p_i, q_j), v_j) over query points p_i, shape (N_P, N_Q), in work[-1].
 
         The rows contract the block with einsum; a cap-system solver test pins that rounding.
         """
-        return np.einsum("ijk,jk->ij", -s2_green_gradient(queries, points), vectors)
+        return np.einsum("ijk,jk->ij", -s2_green_gradient(queries, points), vectors,
+                         out=work[-1])
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,9 @@ from .errors import ClampedMassWarning, IllPosedSystemError
 from .geometry import OrientedSample, PointCloud
 from .kernel import KernelConfig
 
-# queries per evaluator chunk on the block paths: bounds the (chunk, N_Y, n)
-# kernel block of vector assembly and of the S^2 field
-QUERY_CHUNK = 256
-# entries per scratch array on the contracted Euclidean path, whose chunks take
-# max(1, CHUNK_ENTRIES // N_Y) queries: a 512 KB array, so the four of one
-# chunk stay in L2 and one workspace serves every chunk
+# entries per evaluator scratch array: chunks take max(1, CHUNK_ENTRIES // N_Y)
+# queries, so each array is 512 KB, the arrays of one chunk stay in L2 and one
+# workspace serves every chunk
 CHUNK_ENTRIES = 1 << 16
 
 AUTO_REGULARIZATION = None
@@ -124,44 +121,26 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
                  vectors: np.ndarray | None = None, summed: bool = False) -> np.ndarray:
     """Double-layer potential of a kernel field, built in chunks of queries.
 
-    field(chunk, points, vectors) returns the rows sum_k K_ijk v_jk, shape (chunk, N);
-    the Euclidean field(chunk, points) returns the kernel block K, shape (chunk, N, n).
-    Without vectors the result is K's rows over columns (j, k); with vectors
-    v_j it is the contracted rows, or with summed their sums over j.
-    The Euclidean contracted rows are built in one workspace of
-    max(1, CHUNK_ENTRIES // N)-query chunks; the block paths take QUERY_CHUNK.
+    field(chunk, points, vectors, work) writes the chunk's rows into work[-1]
+    and returns them: with vectors v_j the contracted rows sum_k K_ijk v_jk,
+    shape (chunk, N), which summed sums over j; without, K's rows over
+    columns (j, k). Every chunk takes max(1, CHUNK_ENTRIES // N) queries and
+    the same workspace: three (chunk, N) scratch arrays, then the result's
+    own rows, or a fourth array to sum when summed.
     """
     if queries.shape[1] != points.shape[1]:
         raise ValueError("queries and sample must share an ambient dimension")
-    m = len(queries)
-    if vectors is None:
-        out = np.empty((m, points.size))
-    else:
-        out = np.empty(m if summed else (m, len(points)))
-    # the Euclidean field builds its contracted rows in a workspace; the S^2
-    # field builds a block per chunk, as vector assembly does
-    contracted = vectors is not None and isinstance(getattr(field, "__self__", None),
-                                                    KernelConfig)
-    step = max(1, CHUNK_ENTRIES // max(1, len(points))) if contracted else QUERY_CHUNK
-    if contracted:
-        # d, t and rho2, and num when summed; in row mode num is the result's rows
-        work = np.empty((3 + summed, min(step, m), len(points)))
-    # each block goes straight into its reduction: a name bound to it would
-    # keep the previous chunk's block alive while the next one is built
+    m, count = len(queries), len(points)
+    out = np.empty(m if summed else (m, points.size if vectors is None else count))
+    step = max(1, CHUNK_ENTRIES // max(1, count))
+    work = np.empty((3 + summed, min(step, m), count))
     for lo in range(0, m, step):
         chunk = queries[lo:lo + step]
         rows = out[lo:lo + len(chunk)]
-        if vectors is None:
-            rows[...] = field(chunk, points).reshape(len(chunk), -1)
-        elif contracted:
-            planes = [*work[:, :len(chunk)]] + ([] if summed else [rows])
-            num = field(chunk, points, vectors, work=planes)
-            if summed:
-                num.sum(axis=1, out=rows)
-        elif summed:
-            rows[...] = field(chunk, points, vectors).sum(axis=1)
-        else:
-            rows[...] = field(chunk, points, vectors)
+        planes = [*work[:, :len(chunk)]] + ([] if summed else [rows])
+        result = field(chunk, points, vectors, planes)
+        if summed:
+            result.sum(axis=1, out=rows)
     return out
 
 

@@ -393,7 +393,19 @@ def test_study_csv_schema_and_roundtrip(tmp_path):
     assert [int(r[0]) for r in parsed] == [100, 200, 400]
     for r in parsed:
         assert r[5] == pytest.approx(4.0 * np.pi)
-        assert r[6] < 0.02
+        assert abs(r[6]) < 0.02
+
+
+def test_study_rel_err_keeps_its_sign(tmp_path, capsys):
+    # the default tube eps leaves the circle's length about 0.7% short at N=50
+    out = tmp_path / "study.csv"
+    assert run(["study", "--fixture", "circle-r3", "--sizes", 50, "-o", out]) == 0
+    with open(out, newline="") as fh:
+        row = [float(v) for v in list(csv.reader(fh))[1]]
+    integral, ref, rel_err = row[4], row[5], row[6]
+    assert integral < ref
+    assert rel_err == (integral - ref) / abs(ref)
+    assert f"rel_err={rel_err:.3e}" in capsys.readouterr().out
 
 
 def test_study_rejects_underresolved_codim2_tube(tmp_path):

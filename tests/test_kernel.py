@@ -122,6 +122,10 @@ def test_contracted_rows_match_block(n):
     assert np.max(np.abs(rows - expected)) <= 1e-14 * np.max(np.abs(expected))
     sums = double_layer(cfg.field, X, Y, V, summed=True)
     assert np.max(np.abs(sums - np.einsum("ijk,jk->i", block, V))) <= 1e-14 * np.max(np.abs(expected))
+    # vector assembly writes the planes d_k into the result: a reshape that
+    # copied would leave its rows unwritten
+    flat = block.reshape(len(X), -1)
+    assert np.max(np.abs(double_layer(cfg.field, X, Y) - flat)) <= 1e-15 * np.max(np.abs(flat))
 
 
 @pytest.mark.parametrize("summed", [False, True])
@@ -131,9 +135,11 @@ def test_coincident_pair_in_last_partial_chunk_raises(summed):
     X = rng.standard_normal((2 * _contracted_rows(40) + 5, 3))
     X[-1] = Y[7]
     cfg = KernelConfig(3)
-    double_layer(cfg.field, X[:-1], Y, Y)
-    with pytest.raises(SingularEvaluationError):
-        double_layer(cfg.field, X, Y, Y, summed=summed)
+    # rows with vectors, and without them as vector assembly builds its rows
+    for vectors in (Y,) if summed else (Y, None):
+        double_layer(cfg.field, X[:-1], Y, vectors)
+        with pytest.raises(SingularEvaluationError):
+            double_layer(cfg.field, X, Y, vectors, summed=summed)
 
 
 def test_contracted_results_own_their_memory_and_sums_match_rows():
@@ -177,6 +183,9 @@ def test_contracted_evaluation_memory():
     # which stay under a fourth
     out, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y, Y))
     chunk = _contracted_rows(len(Y)) * len(Y) * out.itemsize
+    assert peak <= out.nbytes + 4 * chunk
+    # vector assembly writes its (chunk, N, n) rows in the result as well
+    out, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y))
     assert peak <= out.nbytes + 4 * chunk
 
 

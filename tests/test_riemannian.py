@@ -10,7 +10,7 @@ from surfquad.riemannian import (ManifoldBoundarySample, SphereModel,
                                  assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points, continuous_cap_indicator,
                                  s2_green_gradient)
-from surfquad.solver import SystemLayout, integrate_function
+from surfquad.solver import CHUNK_ENTRIES, SystemLayout, double_layer, integrate_function
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -182,6 +182,20 @@ def test_conormal_flip_negates_kernel_entries():
     b = assemble_riemann_system(qi, qe, flipped, SphereModel()).matrix
     assert np.allclose(a[:, :-1], -b[:, :-1], atol=1e-14)
     assert np.allclose(a[:, -1], b[:, -1])
+
+
+def test_field_rows_do_not_depend_on_the_chunk():
+    # each query's cosines are one matrix-vector product, so the rows of
+    # several full chunks and a partial one equal the rows of one query a call
+    sample = cap_boundary_sample(np.pi / 3, 2000)
+    p = np.vstack([cap_query_points(np.pi / 3, 40, seed=5, side=side).points
+                   for side in ("interior", "exterior")])
+    assert len(p) > 2 * (CHUNK_ENTRIES // len(sample))
+    field = SphereModel().field
+    rows = double_layer(field, p, sample.points, sample.conormals)
+    single = np.vstack([double_layer(field, p[i:i + 1], sample.points, sample.conormals)
+                        for i in range(len(p))])
+    assert np.array_equal(rows, single)
 
 
 def test_exact_elements_near_zero_residual():
