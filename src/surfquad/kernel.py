@@ -30,40 +30,42 @@ class KernelConfig:
 
         With vectors v_j the rows are dot(K(x_i, y_j), v_j), shape (N_X, N_Y);
         without, work[-1] holds the kernel block K over columns (j, k), shape
-        (N_X, N_Y * n), and each difference d_k is written straight into its
-        strided plane. work[:3] are three (N_X, N_Y) scratch arrays (d, t,
-        rho2). Each difference is taken per pair, not expanded into products
-        with X, so near pairs do not cancel and relabeling the samples
-        permutes the rows bit for bit.
+        (N_X, N_Y * n), built in place by the arithmetic of double_layer_block,
+        so it matches that block bit for bit. work[:3] are three (N_X, N_Y)
+        scratch arrays (d, t, rho2). Each difference is taken per pair, not
+        expanded into products with X, so near pairs do not cancel and
+        relabeling the samples permutes the rows bit for bit.
         """
         X, Y = _checked_pair(queries, points, self)
         d, t, rho2, rows = work[0], work[1], work[2], work[-1]
-        V = None if vectors is None else np.asarray(vectors, dtype=float)
-        # a view of the result: the planes must land in it, not in a copy
-        block = None if V is not None else rows.reshape((len(X), len(Y), self.dim), copy=False)
-        for k in range(self.dim):
-            dk = d if block is None else block[:, :, k]
-            np.subtract(Y[:, k], X[:, k, None], out=dk)
-            if k == 0:
-                np.multiply(dk, dk, out=rho2)
-                if V is not None:
-                    np.multiply(dk, V[:, 0], out=rows)
-            else:
-                rho2 += np.multiply(dk, dk, out=t)
-                if V is not None:
-                    rows += np.multiply(dk, V[:, k], out=t)
+        if vectors is None:
+            # a view of the result, as rows is a run of whole rows of a C-ordered array
+            block = rows.reshape(len(X), len(Y), self.dim)
+            for k in range(self.dim):
+                np.subtract(Y[:, k], X[:, k, None], out=block[:, :, k])
+            np.einsum("ijk,ijk->ij", block, block, out=rho2)
+            den = np.power(rho2, self.dim / 2.0, out=t)
+        else:
+            V = np.asarray(vectors, dtype=float)
+            np.subtract(Y[:, 0], X[:, 0, None], out=d)
+            np.multiply(d, V[:, 0], out=rows)
+            np.multiply(d, d, out=rho2)
+            for k in range(1, self.dim):
+                np.subtract(Y[:, k], X[:, k, None], out=d)
+                rows += np.multiply(d, V[:, k], out=t)
+                rho2 += np.multiply(d, d, out=t)
+            # rho^n = rho2^(n//2) times rho for odd n
+            den = np.power(rho2, self.dim // 2, out=t)
+            if self.dim % 2:
+                den *= np.sqrt(rho2, out=d)
         # rho2 >= 0, so all() is false exactly when some pair coincides
         if not rho2.all():
             raise SingularEvaluationError("coincident query/sample point")
-        # omega_n rho^n, with rho^n = rho2^(n//2) times rho for odd n
-        den = np.power(rho2, self.dim // 2, out=t)
-        if self.dim % 2:
-            den *= np.sqrt(rho2, out=d)
         den *= unit_sphere_measure(self.dim)
-        if block is None:
-            rows /= den
-        else:
+        if vectors is None:
             block /= den[:, :, None]
+        else:
+            rows /= den
         return rows
 
 
