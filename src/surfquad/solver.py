@@ -18,7 +18,10 @@ Neither needs an SVD. Plain least squares (lambda = 0) uses an SVD-backed
 solve with a rank check.
 """
 
+import contextvars
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,10 +32,28 @@ from .errors import ClampedMassWarning, IllPosedSystemError
 from .geometry import OrientedSample, PointCloud
 from .kernel import KernelConfig
 
-# entries per evaluator scratch array: chunks take max(1, CHUNK_ENTRIES // N_Y)
-# queries, so each array is 512 KB, the arrays of one chunk stay in L2 and one
-# workspace serves every chunk
+# entries per evaluator scratch array, which the lanes split: chunks take
+# max(1, CHUNK_ENTRIES // (LANES * N_Y)) queries, so each array is 512 KB over
+# all lanes, the arrays of one lane's chunk stay in L2 and one workspace
+# serves every chunk
 CHUNK_ENTRIES = 1 << 16
+
+# lanes of one double_layer call: the CPUs this process may run on; the
+# calling thread runs lane 0 and the pool the others
+LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def _start_pool() -> None:
+    global _pool
+    _pool = ThreadPoolExecutor(LANES - 1, "double-layer") if LANES > 1 else None
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but not its threads, so a lane it
+    # submitted would never run
+    os.register_at_fork(after_in_child=_start_pool)
 
 AUTO_REGULARIZATION = None
 _AUTO_SCALE = 1e-6
@@ -124,23 +145,42 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
     field(chunk, points, vectors, work) writes the chunk's rows into work[-1]
     and returns them: with vectors v_j the contracted rows sum_k K_ijk v_jk,
     shape (chunk, N), which summed sums over j; without, K's rows over
-    columns (j, k). Every chunk takes max(1, CHUNK_ENTRIES // N) queries and
-    the same workspace: three (chunk, N) scratch arrays, then the result's
-    own rows, or a fourth array to sum when summed.
+    columns (j, k). Every chunk takes max(1, CHUNK_ENTRIES // (LANES * N))
+    queries. Lane k of LANES takes chunks k, k + LANES, ..., the caller's
+    thread lane 0 and the pool the others, and reuses its own part of one
+    workspace: three (chunk, N) scratch arrays, then the result's own rows,
+    or a fourth array to sum when summed. So field must be safe to call from
+    several threads at once on disjoint planes. A row does not depend on its
+    chunk, so the result is bit for bit that of one lane. Lanes run in the
+    caller's context (its np.errstate), and the call returns or raises a
+    lane's error only after every lane has stopped.
     """
     if queries.shape[1] != points.shape[1]:
         raise ValueError("queries and sample must share an ambient dimension")
     m, count = len(queries), len(points)
     out = np.empty(m if summed else (m, points.size if vectors is None else count))
-    step = max(1, CHUNK_ENTRIES // max(1, count))
-    work = np.empty((3 + summed, min(step, m), count))
-    for lo in range(0, m, step):
-        chunk = queries[lo:lo + step]
-        rows = out[lo:lo + len(chunk)]
-        planes = [*work[:, :len(chunk)]] + ([] if summed else [rows])
-        result = field(chunk, points, vectors, planes)
-        if summed:
-            result.sum(axis=1, out=rows)
+    step = max(1, CHUNK_ENTRIES // (LANES * max(1, count)))
+    starts = range(0, m, step)
+    lanes = max(1, min(LANES, len(starts)))
+    work = np.empty((lanes, 3 + summed, min(step, m), count))
+
+    def lane(k):
+        for lo in starts[k::lanes]:
+            chunk = queries[lo:lo + step]
+            rows = out[lo:lo + len(chunk)]
+            planes = [*work[k, :, :len(chunk)]] + ([] if summed else [rows])
+            result = field(chunk, points, vectors, planes)
+            if summed:
+                result.sum(axis=1, out=rows)
+
+    others = [_pool.submit(contextvars.copy_context().run, lane, k) for k in range(1, lanes)]
+    try:
+        lane(0)
+    finally:
+        # no lane may still write into out once the call returns or raises
+        wait(others)
+    for future in others:
+        future.result()
     return out
 
 

@@ -408,6 +408,23 @@ def test_study_rel_err_keeps_its_sign(tmp_path, capsys):
     assert f"rel_err={rel_err:.3e}" in capsys.readouterr().out
 
 
+def test_integrate_rel_err_keeps_its_sign(tmp_path, capsys):
+    # the 50-point circle at the default tube eps: a length 0.5% short
+    s, w = tmp_path / "c.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", "circle-r3", "--count", 50, "-o", s])
+    run(["weights", "--pipeline", "tube", "--sample", s, "--fixture", "circle-r3", "-o", w])
+    capsys.readouterr()
+    assert run(["integrate", "--sample", s, "--weights", w,
+                "--integrand", "const1", "--fixture", "circle-r3"]) == 0
+    out = capsys.readouterr().out
+    value = float(re.search(r"integral\[const1\] = (\S+)", out).group(1))
+    ref = float(re.search(r"reference = (\S+)", out).group(1))
+    rel_err = float(re.search(r"rel_err = (\S+)", out).group(1))
+    assert value < ref
+    assert rel_err < 0
+    assert rel_err == pytest.approx((value - ref) / abs(ref), rel=1e-3)
+
+
 def test_study_rejects_underresolved_codim2_tube(tmp_path):
     # the same guard as `weights --pipeline tube`: the study shares its wiring
     assert run(["study", "--fixture", "circle-r3", "--sizes", 120, "--q-directions", 4,

@@ -1,14 +1,22 @@
 """Kernel row and fundamental solution checks against closed forms and FD."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfquad
 from surfquad.errors import SingularEvaluationError
 from surfquad.kernel import (KernelConfig, double_layer_block, double_layer_row,
                              fundamental_solution, unit_sphere_measure)
-from surfquad.solver import CHUNK_ENTRIES, double_layer
+from surfquad.solver import CHUNK_ENTRIES, LANES, double_layer
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -159,6 +167,164 @@ def test_contracted_results_own_their_memory_and_sums_match_rows():
     assert np.array_equal(sums_again, again.sum(axis=1))
 
 
+def _lane_rows(count):
+    """Queries per chunk when LANES lanes split the workspace over count sample points."""
+    return max(1, CHUNK_ENTRIES // (LANES * count))
+
+
+@pytest.mark.parametrize("summed", [False, True])
+def test_coincident_pair_in_second_chunk_raises(summed):
+    # the second chunk is lane 1's whenever there are two lanes or more
+    rng = np.random.default_rng(15)
+    Y = rng.standard_normal((40, 3))
+    X = rng.standard_normal((3 * _lane_rows(40), 3))
+    cfg = KernelConfig(3)
+    for vectors in (Y,) if summed else (Y, None):
+        double_layer(cfg.field, X, Y, vectors, summed=summed)
+        bad = X.copy()
+        bad[_lane_rows(40)] = Y[7]
+        with pytest.raises(SingularEvaluationError):
+            double_layer(cfg.field, bad, Y, vectors, summed=summed)
+
+
+def test_call_returns_after_every_lane_has_stopped():
+    # query i carries i, so a field call knows its chunk; every chunk but the
+    # first sleeps, so the other lanes are still running when lane 0 is done
+    step = _lane_rows(40)
+    X = np.zeros((4 * step, 3))
+    X[:, 0] = np.arange(len(X))
+    Y = np.ones((40, 3))
+    started, stopped = [], []
+    other_lane_running = threading.Event()
+
+    def field(chunk, points, vectors, work, fail_first=False):
+        lo = int(chunk[0, 0])
+        if lo == 0 and fail_first:
+            if LANES > 1:
+                other_lane_running.wait(timeout=10)
+            raise SingularEvaluationError("first chunk")
+        started.append(lo)
+        if lo:
+            other_lane_running.set()
+            time.sleep(0.05)
+        work[-1][:] = lo
+        stopped.append(lo)
+        return work[-1]
+
+    rows = double_layer(field, X, Y, Y)
+    assert np.array_equal(rows[:, 0], np.arange(len(X)) // step * step)
+    assert sorted(started) == sorted(stopped) == list(range(0, len(X), step))
+    started.clear()
+    stopped.clear()
+    other_lane_running.clear()
+    with pytest.raises(SingularEvaluationError):
+        double_layer(lambda *a: field(*a, fail_first=True), X, Y, Y, summed=True)
+    # lane 0 failed while another lane was inside a chunk, and the call waited for it
+    assert started or LANES == 1
+    assert sorted(started) == sorted(stopped)
+
+
+def test_concurrent_callers_share_the_lanes():
+    # more callers than CPUs, each call split into lanes on the one pool, with
+    # thread switches forced often: every result must still be the reference
+    rng = np.random.default_rng(19)
+    X = rng.standard_normal((4 * _lane_rows(300) + 3, 3))
+    Y = rng.standard_normal((300, 3))
+    field = KernelConfig(3).field
+    expected = (double_layer(field, X, Y, Y), double_layer(field, X, Y, Y, summed=True))
+    mismatches = []
+
+    def caller():
+        for _ in range(5):
+            got = (double_layer(field, X, Y, Y), double_layer(field, X, Y, Y, summed=True))
+            mismatches.extend(not np.array_equal(a, b) for a, b in zip(got, expected))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(2 * LANES + 2)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert len(mismatches) == 2 * 5 * len(callers) and not any(mismatches)
+
+
+def test_lanes_keep_the_callers_error_state():
+    # coordinates of 1e-110 underflow rho^3 to zero; pytest's error::RuntimeWarning
+    # filter fails a lane that does not run under the caller's np.errstate
+    rng = np.random.default_rng(16)
+    X = 1e-110 * rng.standard_normal((400, 3))
+    Y = 1e-110 * rng.standard_normal((400, 3))
+    cfg = KernelConfig(3)
+    assert len(X) > LANES * _lane_rows(len(Y))
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        double_layer(cfg.field, X, Y, Y)
+    with np.errstate(all="ignore"):
+        rows = double_layer(cfg.field, X, Y, Y)
+        sums = double_layer(cfg.field, X, Y, Y, summed=True)
+    assert np.isinf(rows).all() and not np.isfinite(sums).any()
+
+
+def _summed_in_child(X, Y):
+    double_layer(KernelConfig(3).field, X, Y, Y, summed=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_evaluates_after_the_parent_used_the_lanes():
+    # a fork child inherits the lane pool without its threads
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((4 * _lane_rows(500), 3))
+    Y = rng.standard_normal((500, 3))
+    _summed_in_child(X, Y)
+    child = multiprocessing.get_context("fork").Process(target=_summed_in_child, args=(X, Y))
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+_ONE_LANE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from surfquad import solver
+from surfquad.kernel import KernelConfig
+assert solver.LANES == 1
+inputs = np.load(sys.argv[1])
+X, Y, V = inputs["X"], inputs["Y"], inputs["V"]
+field = KernelConfig(3).field
+np.savez(sys.argv[2], rows=solver.double_layer(field, X, Y, V),
+         sums=solver.double_layer(field, X, Y, V, summed=True),
+         block=solver.double_layer(field, X, Y))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_lane_gives_the_same_bits(tmp_path):
+    # a process pinned to one CPU runs one lane with chunks LANES times as long
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((3 * _lane_rows(300) + 7, 3))
+    Y = rng.standard_normal((300, 3))
+    V = rng.standard_normal((300, 3))
+    np.savez(tmp_path / "in.npz", X=X, Y=Y, V=V)
+    env = dict(os.environ, PYTHONPATH=str(Path(surfquad.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", _ONE_LANE, tmp_path / "in.npz", tmp_path / "out.npz"],
+                   env=env, check=True, timeout=120)
+    one = np.load(tmp_path / "out.npz")
+    field = KernelConfig(3).field
+    assert np.array_equal(one["rows"], double_layer(field, X, Y, V))
+    assert np.array_equal(one["sums"], double_layer(field, X, Y, V, summed=True))
+    assert np.array_equal(one["block"], double_layer(field, X, Y))
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -169,17 +335,19 @@ def _traced_peak(call):
 
 
 def test_contracted_evaluation_memory():
-    # 2000 x 2000: the summed rows need one workspace of four 32-query chunk
-    # arrays (2 MB), whatever the query count
+    # 2000 x 2000: the summed rows need one workspace of four arrays of 32
+    # queries (2 MB), whatever the query count; the lanes split it, each
+    # taking 32 // LANES queries of every array
     rng = np.random.default_rng(14)
     Y = rng.standard_normal((2000, 3))
     X = rng.standard_normal((2000, 3))
     cfg = KernelConfig(3)
     _, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y, Y, summed=True))
     assert peak < 4e6
-    # rows are built in the result itself: three chunk arrays beside it, and
-    # numpy's transient ufunc buffers (two of np.getbufsize() doubles, 128 KiB),
-    # which stay under a fourth
+    # rows are built in the result itself: three workspace arrays beside it,
+    # and numpy's transient ufunc buffers (two of np.getbufsize() doubles,
+    # 128 KiB, held by each running lane), which stay under a fourth for up
+    # to three lanes
     out, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y, Y))
     chunk = _contracted_rows(len(Y)) * len(Y) * out.itemsize
     assert peak <= out.nbytes + 4 * chunk
