@@ -18,10 +18,9 @@ Neither needs an SVD. Plain least squares (lambda = 0) uses an SVD-backed
 solve with a rank check.
 """
 
-import contextvars
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,22 +37,15 @@ from .kernel import KernelConfig
 # serves every chunk
 CHUNK_ENTRIES = 1 << 16
 
-# lanes of one double_layer call: the CPUs this process may run on; the
-# calling thread runs lane 0 and the pool the others
-LANES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
+# fewest entries of a lane's chunk while N_Y is below it: with fewer, the
+# fixed cost of a chunk's ufunc calls shows in one lane's time
+LANE_ENTRIES = 1 << 14
 
-
-def _start_pool() -> None:
-    global _pool
-    _pool = ThreadPoolExecutor(LANES - 1, "double-layer") if LANES > 1 else None
-
-
-_start_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool but not its threads, so a lane it
-    # submitted would never run
-    os.register_at_fork(after_in_child=_start_pool)
+# lanes of one double_layer call: the CPUs this process may run on, but at
+# most CHUNK_ENTRIES // LANE_ENTRIES, which also bounds the loss where a CPU
+# quota leaves fewer CPUs than the affinity names
+LANES = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1, CHUNK_ENTRIES // LANE_ENTRIES)
 
 AUTO_REGULARIZATION = None
 _AUTO_SCALE = 1e-6
@@ -147,13 +139,14 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
     shape (chunk, N), which summed sums over j; without, K's rows over
     columns (j, k). Every chunk takes max(1, CHUNK_ENTRIES // (LANES * N))
     queries. Lane k of LANES takes chunks k, k + LANES, ..., the caller's
-    thread lane 0 and the pool the others, and reuses its own part of one
-    workspace: three (chunk, N) scratch arrays, then the result's own rows,
-    or a fourth array to sum when summed. So field must be safe to call from
-    several threads at once on disjoint planes. A row does not depend on its
-    chunk, so the result is bit for bit that of one lane. Lanes run in the
-    caller's context (its np.errstate), and the call returns or raises a
-    lane's error only after every lane has stopped.
+    thread lane 0 and threads of a pool the call starts the others, and
+    reuses its own part of one workspace: three (chunk, N) scratch arrays,
+    then the result's own rows, or a fourth array to sum when summed. So
+    field must be safe to call from several threads at once on disjoint
+    planes. A row does not depend on its chunk, so the result is bit for bit
+    that of one lane. Each lane runs under the caller's np.errstate with its
+    share of the caller's ufunc buffer size, and the call returns or raises
+    a lane's error only after every lane has stopped.
     """
     if queries.shape[1] != points.shape[1]:
         raise ValueError("queries and sample must share an ambient dimension")
@@ -164,21 +157,32 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
     lanes = max(1, min(LANES, len(starts)))
     work = np.empty((lanes, 3 + summed, min(step, m), count))
 
-    def lane(k):
-        for lo in starts[k::lanes]:
-            chunk = queries[lo:lo + step]
-            rows = out[lo:lo + len(chunk)]
-            planes = [*work[k, :, :len(chunk)]] + ([] if summed else [rows])
-            result = field(chunk, points, vectors, planes)
-            if summed:
-                result.sum(axis=1, out=rows)
+    # each lane runs under the caller's numpy error state, which is per
+    # thread, and holds ufunc buffers of its own, so the lanes split the
+    # caller's buffer size (a multiple of 16, as numpy 1.x requires)
+    err = dict(np.geterr(), call=np.geterrcall())
+    buffer = max(16, np.getbufsize() // lanes // 16 * 16)
 
-    others = [_pool.submit(contextvars.copy_context().run, lane, k) for k in range(1, lanes)]
-    try:
+    def lane(k):
+        with np.errstate(**err):
+            # numpy 1.x's errstate does not restore the buffer size
+            before = np.setbufsize(buffer)
+            try:
+                for lo in starts[k::lanes]:
+                    chunk = queries[lo:lo + step]
+                    rows = out[lo:lo + len(chunk)]
+                    planes = [*work[k, :, :len(chunk)]] + ([] if summed else [rows])
+                    result = field(chunk, points, vectors, planes)
+                    if summed:
+                        result.sum(axis=1, out=rows)
+            finally:
+                np.setbufsize(before)
+
+    # the pool starts lanes - 1 threads, none for one lane, and leaving it
+    # joins them, also when lane 0 raises
+    with ThreadPoolExecutor(lanes, "double-layer") as pool:
+        others = [pool.submit(lane, k) for k in range(1, lanes)]
         lane(0)
-    finally:
-        # no lane may still write into out once the call returns or raises
-        wait(others)
     for future in others:
         future.result()
     return out

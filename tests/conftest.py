@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 
+def lane_rows(count):
+    """Queries per double_layer chunk when the lanes split the workspace over count points."""
+    from surfquad.solver import CHUNK_ENTRIES, LANES
+
+    return max(1, CHUNK_ENTRIES // (LANES * count))
+
+
 def normal_equations_solve(A, b, lam):
     """Independent Tikhonov oracle: dense elimination on (A^T A + lam^2 I) w = A^T b."""
     A = np.asarray(A, dtype=float)

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import surfquad
+from conftest import lane_rows
+from surfquad import solver
 from surfquad.errors import SingularEvaluationError
 from surfquad.kernel import (KernelConfig, double_layer_block, double_layer_row,
                              fundamental_solution, unit_sphere_measure)
@@ -167,22 +169,17 @@ def test_contracted_results_own_their_memory_and_sums_match_rows():
     assert np.array_equal(sums_again, again.sum(axis=1))
 
 
-def _lane_rows(count):
-    """Queries per chunk when LANES lanes split the workspace over count sample points."""
-    return max(1, CHUNK_ENTRIES // (LANES * count))
-
-
 @pytest.mark.parametrize("summed", [False, True])
 def test_coincident_pair_in_second_chunk_raises(summed):
     # the second chunk is lane 1's whenever there are two lanes or more
     rng = np.random.default_rng(15)
     Y = rng.standard_normal((40, 3))
-    X = rng.standard_normal((3 * _lane_rows(40), 3))
+    X = rng.standard_normal((3 * lane_rows(40), 3))
     cfg = KernelConfig(3)
     for vectors in (Y,) if summed else (Y, None):
         double_layer(cfg.field, X, Y, vectors, summed=summed)
         bad = X.copy()
-        bad[_lane_rows(40)] = Y[7]
+        bad[lane_rows(40)] = Y[7]
         with pytest.raises(SingularEvaluationError):
             double_layer(cfg.field, bad, Y, vectors, summed=summed)
 
@@ -190,7 +187,7 @@ def test_coincident_pair_in_second_chunk_raises(summed):
 def test_call_returns_after_every_lane_has_stopped():
     # query i carries i, so a field call knows its chunk; every chunk but the
     # first sleeps, so the other lanes are still running when lane 0 is done
-    step = _lane_rows(40)
+    step = lane_rows(40)
     X = np.zeros((4 * step, 3))
     X[:, 0] = np.arange(len(X))
     Y = np.ones((40, 3))
@@ -224,11 +221,11 @@ def test_call_returns_after_every_lane_has_stopped():
     assert sorted(started) == sorted(stopped)
 
 
-def test_concurrent_callers_share_the_lanes():
-    # more callers than CPUs, each call split into lanes on the one pool, with
+def test_concurrent_callers_get_the_reference_bits():
+    # more callers than CPUs, each call split into lanes of its own, with
     # thread switches forced often: every result must still be the reference
     rng = np.random.default_rng(19)
-    X = rng.standard_normal((4 * _lane_rows(300) + 3, 3))
+    X = rng.standard_normal((4 * lane_rows(300) + 3, 3))
     Y = rng.standard_normal((300, 3))
     field = KernelConfig(3).field
     expected = (double_layer(field, X, Y, Y), double_layer(field, X, Y, Y, summed=True))
@@ -260,13 +257,16 @@ def test_lanes_keep_the_callers_error_state():
     X = 1e-110 * rng.standard_normal((400, 3))
     Y = 1e-110 * rng.standard_normal((400, 3))
     cfg = KernelConfig(3)
-    assert len(X) > LANES * _lane_rows(len(Y))
+    assert len(X) > LANES * lane_rows(len(Y))
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         double_layer(cfg.field, X, Y, Y)
+    bufsize = np.getbufsize()
     with np.errstate(all="ignore"):
         rows = double_layer(cfg.field, X, Y, Y)
         sums = double_layer(cfg.field, X, Y, Y, summed=True)
     assert np.isinf(rows).all() and not np.isfinite(sums).any()
+    # lane 0 runs in the caller's thread on its share of the ufunc buffer
+    assert np.getbufsize() == bufsize
 
 
 def _summed_in_child(X, Y):
@@ -275,9 +275,9 @@ def _summed_in_child(X, Y):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_evaluates_after_the_parent_used_the_lanes():
-    # a fork child inherits the lane pool without its threads
+    # a fork child starts lanes of its own after the parent ran its lanes
     rng = np.random.default_rng(17)
-    X = rng.standard_normal((4 * _lane_rows(500), 3))
+    X = rng.standard_normal((4 * lane_rows(500), 3))
     Y = rng.standard_normal((500, 3))
     _summed_in_child(X, Y)
     child = multiprocessing.get_context("fork").Process(target=_summed_in_child, args=(X, Y))
@@ -311,7 +311,7 @@ np.savez(sys.argv[2], rows=solver.double_layer(field, X, Y, V),
 def test_one_lane_gives_the_same_bits(tmp_path):
     # a process pinned to one CPU runs one lane with chunks LANES times as long
     rng = np.random.default_rng(18)
-    X = rng.standard_normal((3 * _lane_rows(300) + 7, 3))
+    X = rng.standard_normal((3 * lane_rows(300) + 7, 3))
     Y = rng.standard_normal((300, 3))
     V = rng.standard_normal((300, 3))
     np.savez(tmp_path / "in.npz", X=X, Y=Y, V=V)
@@ -345,15 +345,22 @@ def test_contracted_evaluation_memory():
     _, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y, Y, summed=True))
     assert peak < 4e6
     # rows are built in the result itself: three workspace arrays beside it,
-    # and numpy's transient ufunc buffers (two of np.getbufsize() doubles,
-    # 128 KiB, held by each running lane), which stay under a fourth for up
-    # to three lanes
+    # and numpy's transient ufunc buffers (up to two of np.getbufsize()
+    # doubles, 128 KiB, which the lanes split), which stay under a fourth
     out, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y, Y))
     chunk = _contracted_rows(len(Y)) * len(Y) * out.itemsize
     assert peak <= out.nbytes + 4 * chunk
     # vector assembly writes its (chunk, N, n) rows in the result as well
     out, peak = _traced_peak(lambda: double_layer(cfg.field, X, Y))
     assert peak <= out.nbytes + 4 * chunk
+
+
+@pytest.mark.parametrize("lanes", [4, 16])
+def test_evaluation_memory_does_not_grow_with_lanes(monkeypatch, lanes):
+    # more lanes than LANES allows: each takes a smaller share of the
+    # workspace and of numpy's ufunc buffer, so the bounds above still hold
+    monkeypatch.setattr(solver, "LANES", lanes)
+    test_contracted_evaluation_memory()
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 7.3])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import lane_rows
 from surfquad.errors import DegeneratePairError
 from surfquad.geometry import PointCloud
 from surfquad.pipelines import solve_manifold_boundary
@@ -10,7 +11,7 @@ from surfquad.riemannian import (ManifoldBoundarySample, SphereModel,
                                  assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points, continuous_cap_indicator,
                                  s2_green_gradient)
-from surfquad.solver import CHUNK_ENTRIES, LANES, SystemLayout, double_layer, integrate_function
+from surfquad.solver import SystemLayout, double_layer, integrate_function
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -184,11 +185,6 @@ def test_conormal_flip_negates_kernel_entries():
     assert np.allclose(a[:, -1], b[:, -1])
 
 
-def _lane_rows(count):
-    """Queries per chunk when LANES lanes split the workspace over count sample points."""
-    return max(1, CHUNK_ENTRIES // (LANES * count))
-
-
 def test_field_rows_do_not_depend_on_the_chunk():
     # each query's cosines are one matrix-vector product, so the rows of
     # several full chunks and a partial one (unless a chunk is one query)
@@ -196,7 +192,7 @@ def test_field_rows_do_not_depend_on_the_chunk():
     sample = cap_boundary_sample(np.pi / 3, 2000)
     p = np.vstack([cap_query_points(np.pi / 3, 45, seed=5, side=side).points
                    for side in ("interior", "exterior")])
-    step = _lane_rows(len(sample))
+    step = lane_rows(len(sample))
     assert len(p) > 2 * step
     field = SphereModel().field
     rows = double_layer(field, p, sample.points, sample.conormals)
@@ -208,7 +204,7 @@ def test_field_rows_do_not_depend_on_the_chunk():
 def test_antipodal_pair_in_second_chunk_raises():
     # the second chunk is lane 1's whenever there are two lanes or more
     sample = cap_boundary_sample(np.pi / 3, 2000)
-    step = _lane_rows(len(sample))
+    step = lane_rows(len(sample))
     p = cap_query_points(np.pi / 3, 3 * step, seed=6).points.copy()
     field = SphereModel().field
     double_layer(field, p, sample.points, sample.conormals)
