@@ -38,7 +38,8 @@ def s2_green_gradient(p, q) -> np.ndarray:
     (sample) point, shape (3,), or rows of them, shape (..., N, 3). Leading
     axes broadcast as in a matrix-vector product, giving shape (..., N, 3) or
     (..., 3). Undefined (raises) for coincident or antipodal pairs, and for
-    points off the unit sphere.
+    points off the unit sphere. SphereModel.field does not call it: it is
+    the direct form that tests check the field against.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -64,12 +65,41 @@ class SphereModel:
 
     def field(self, queries: np.ndarray, points: np.ndarray, vectors: np.ndarray,
               work) -> np.ndarray:
-        """Rows -g(grad G(p_i, q_j), v_j) over query points p_i, shape (N_P, N_Q), in work[-1].
+        """Write the rows -g(grad G(p_i, q_j), v_j), shape (N_P, N_Q), into work[-1].
 
-        The rows contract the block with einsum; a cap-system solver test pins that rounding.
+        With c = p.q, cot(theta/2) = (1 + c) / sin(theta), t_hat.v =
+        (c q.v - p.v) / sin(theta) and sin^2(theta) = 1 - c c, each entry is
+        (1 + c) (c (q_j.v_j) - p_i.v_j) / (4 pi (1 - c c)), the contraction
+        of s2_green_gradient without its (N_P, N_Q, 3) block. work[:3] are
+        three (N_P, N_Q) scratch arrays: c, p.v then the denominator, and the
+        numerator. c and p.v are summed one coordinate at a time, not by a
+        matrix product, so a row does not depend on its chunk and relabeling
+        the samples permutes the rows bit for bit. A cap-system solver test
+        pins this rounding.
         """
-        return np.einsum("ijk,jk->ij", -s2_green_gradient(queries, points), vectors,
-                         out=work[-1])
+        P, Q, V = (np.asarray(a, dtype=float) for a in (queries, points, vectors))
+        _require_on_sphere(P, "query point")
+        _require_on_sphere(Q, "sample point")
+        c, pv, num, rows = work[0], work[1], work[2], work[-1]
+        np.multiply(P[:, 0, None], Q[:, 0], out=c)
+        for k in (1, 2):
+            c += np.multiply(P[:, k, None], Q[:, k], out=num)
+        if c.max() >= 1.0 - _PAIR_TOL:
+            raise DegeneratePairError("green gradient undefined at coincident points")
+        if c.min() <= -1.0 + _PAIR_TOL:
+            raise DegeneratePairError("green gradient undefined at antipodal points")
+        np.multiply(P[:, 0, None], V[:, 0], out=pv)
+        for k in (1, 2):
+            pv += np.multiply(P[:, k, None], V[:, k], out=num)
+        np.multiply(c, np.einsum("jk,jk->j", Q, V), out=num)
+        num -= pv
+        den = np.multiply(c, c, out=pv)
+        np.subtract(1.0, den, out=den)
+        den *= 4.0 * np.pi
+        np.add(1.0, c, out=rows)
+        rows *= num
+        rows /= den
+        return rows
 
 
 @dataclass(frozen=True)

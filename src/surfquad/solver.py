@@ -12,8 +12,10 @@ LAPACK factors it in place and Q is never formed, at O(max(m, n) min(m, n)^2):
   w = A^T R^-1 R^-T b.
 
 Neither path forms the Gram matrix A A^T + lambda^2 I: its Cholesky is
-faster on wide systems but squares the condition number, and at the
-production lambda it fails as "not positive definite" on S^2 cap systems.
+faster on wide systems but squares the condition number. On S^2 cap
+systems at the production lambda the computed Gram matrix is indefinite,
+its smallest eigenvalue -1.3e-12 to -6.4e-12 against lambda^2 = 1e-12 on
+four query draws; whether its Cholesky fails depends on rounding.
 Neither needs an SVD. Plain least squares (lambda = 0) uses an SVD-backed
 solve with a rank check.
 """

@@ -21,8 +21,12 @@ _FMT = "%.17g"
 
 
 def _write_matrix(fh, data: np.ndarray):
-    for row in np.atleast_2d(data):
-        fh.write(" ".join(_FMT % v for v in row) + "\n")
+    # one format call per row writes the text of _FMT per value; converting
+    # a row at a time keeps the whole matrix out of Python floats
+    data = np.atleast_2d(data)
+    line = " ".join([_FMT] * data.shape[1]) + "\n"
+    for row in data:
+        fh.write(line % tuple(row.tolist()))
 
 
 def _parse(path):

@@ -213,6 +213,44 @@ def test_antipodal_pair_in_second_chunk_raises():
         double_layer(field, p, sample.points, sample.conormals)
 
 
+@pytest.mark.parametrize("tangent", [True, False], ids=["tangent", "generic"])
+@pytest.mark.parametrize("summed", [False, True], ids=["rows", "summed"])
+def test_field_matches_gradient_oracle(tangent, summed):
+    # cap conormals are tangent, so c (q.v) vanishes; generic vectors keep it.
+    # The queries keep a geodesic margin of 0.2 alpha from the boundary
+    # points, so no pair is near enough for 1 - c c to lose digits.
+    sample = cap_boundary_sample(np.pi / 3, 700)
+    points = sample.points
+    vectors = (sample.conormals if tangent
+               else np.random.default_rng(31).standard_normal(points.shape))
+    step = lane_rows(len(points))
+    p = np.vstack([cap_query_points(np.pi / 3, 2 * step + 1, seed=8, side=side).points
+                   for side in ("interior", "exterior")])
+    assert len(p) > 2 * step and len(p) % step
+    ref = np.einsum("ijk,jk->ij", -s2_green_gradient(p, points), vectors)
+    if summed:
+        ref = ref.sum(axis=1)
+    got = double_layer(SphereModel().field, p, points, vectors, summed=summed)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("summed", [False, True], ids=["rows", "summed"])
+def test_field_coincident_pair_raises(summed):
+    sample = cap_boundary_sample(np.pi / 3, 64)
+    p = np.vstack([NORTH, sample.points[5]])
+    with pytest.raises(DegeneratePairError, match="coincident"):
+        double_layer(SphereModel().field, p, sample.points, sample.conormals, summed=summed)
+
+
+@pytest.mark.parametrize("summed", [False, True], ids=["rows", "summed"])
+def test_field_query_off_the_sphere_raises(summed):
+    sample = cap_boundary_sample(np.pi / 3, 64)
+    p = np.vstack([NORTH, 1.01 * SOUTH])
+    with pytest.raises(ValueError, match="off the unit sphere"):
+        double_layer(SphereModel().field, p, sample.points, sample.conormals, summed=summed)
+
+
 def test_exact_elements_near_zero_residual():
     alpha = np.pi / 3
     sample = cap_boundary_sample(alpha, 400)

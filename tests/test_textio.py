@@ -99,3 +99,16 @@ def test_manifold_header_preserved(tmp_path):
     textio.write_weights(path, sample.points, np.ones(6), normals=sample.normals,
                          extra="manifold=s2")
     assert textio.read_weights(path).meta["manifold"] == "s2"
+
+
+def test_matrix_text_matches_per_value_format(tmp_path):
+    # one format per row writes what "%.17g" writes per value, for signed
+    # zeros, subnormals, huge and negative values alike
+    data = np.array([[-0.0, 5e-324, 1e300, -1.5],
+                     [0.1, -2.0 / 3.0, -1e-300, 0.0],
+                     [np.pi, -5e-324, -1e300, 123456789.0]])
+    path = tmp_path / "cloud.txt"
+    textio.write_cloud(path, PointCloud(data))
+    body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+    assert body == "".join(" ".join("%.17g" % v for v in row) + "\n" for row in data)
+    assert np.array_equal(textio.read_cloud(path).points, data)
