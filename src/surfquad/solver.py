@@ -3,13 +3,23 @@
 Vector systems carry one R^n unknown mu_j per sample point (columns grouped
 per point); scalar systems use known normals and solve for the elements
 tau_j directly. The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2 through
-one Householder QR of a lambda-stacked matrix, built in Fortran order so that
-LAPACK factors it in place and Q is never formed, at O(max(m, n) min(m, n)^2):
+one Householder QR of a lambda-stacked matrix, built in Fortran order and
+factored in place by one LAPACK dgeqrt call, so Q is never formed, at
+O(max(m, n) min(m, n)^2):
 
-- tall (m >= n): [A; lambda I] = Q R, with Q^T [b; 0] applied during the
-  factorization, and w = R^-1 Q^T [b; 0];
+- tall (m >= n): [A, b; lambda I, 0] = Q [R, c]. The last column [b; 0]
+  is factored with the rest, so the reflectors leave c = Q^T [b; 0] above
+  its diagonal, and w = R^-1 c[:n];
 - wide (m < n): [A^T; lambda I] = Q R, so R^T R = A A^T + lambda^2 I and
   w = A^T R^-1 R^-T b.
+
+dgeqrt factors blocks of QR_BLOCK columns, each block's panel by recursive
+halving with level-3 BLAS (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
+2000), and applies it to the rest in compact-WY form. dgeqrf, behind
+scipy's qr and qr_multiply, factors each 32-column panel one column at a
+time with level-2 BLAS down the whole stack, and needs a second pass
+(ormqr) for Q^T [b; 0]; on 2 CPUs the benchmark's shapes solve 22-49%
+faster with dgeqrt (README, numerical notes).
 
 Neither path forms the Gram matrix A A^T + lambda^2 I: its Cholesky is
 faster on wide systems but squares the condition number. On S^2 cap
@@ -48,6 +58,12 @@ LANE_ENTRIES = 1 << 14
 # quota leaves fewer CPUs than the affinity names
 LANES = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1, CHUNK_ENTRIES // LANE_ENTRIES)
+
+# columns per block of the Tikhonov stack's QR: on the benchmark's shapes
+# (3000 x 1500 to 400 x 3200, 2 CPUs) blocks of 48 to 96 solved within
+# noise of each other, 32 was slower on the tall shapes and 128 doubled
+# the 400 x 3200 tube's solve
+QR_BLOCK = 64
 
 AUTO_REGULARIZATION = None
 _AUTO_SCALE = 1e-6
@@ -220,18 +236,24 @@ def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
                 f"system has rank {rank} < {A.shape[1]} unknowns and no regularization")
         return w
     # [M; lam I] with M = A (tall) or A^T (wide), in Fortran order so that
-    # LAPACK overwrites it with the factorization instead of copying it
-    M = A if path == "tall-qr" else A.T
+    # LAPACK overwrites it with the factorization instead of copying it; the
+    # tall stack carries [b; 0] as a last column, which the reflectors turn
+    # into Q^T [b; 0]
+    tall = path == "tall-qr"
+    M = A if tall else A.T
     rows, k = M.shape
-    stacked = np.zeros((rows + k, k), order="F")
-    stacked[:rows] = M
+    stacked = np.zeros((rows + k, k + tall), order="F")
+    stacked[:rows, :k] = M
     np.fill_diagonal(stacked[rows:], lam)
-    if path == "tall-qr":
-        qtb, R = sla.qr_multiply(stacked, np.concatenate([b, np.zeros(k)]),
-                                 mode="right", overwrite_a=True)
-        return sla.solve_triangular(R, qtb)
+    if tall:
+        stacked[:rows, k] = b
+    qr, _, info = sla.lapack.dgeqrt(min(QR_BLOCK, k), stacked, overwrite_a=True)
+    if info != 0:
+        raise ValueError(f"dgeqrt: illegal value in argument {-info}")
+    R = qr[:k, :k]
+    if tall:
+        return sla.solve_triangular(R, qr[:k, k])
     # R^T R = A A^T + lam^2 I, so w = A^T (A A^T + lam^2 I)^-1 b
-    _, R = sla.qr(stacked, mode="raw", overwrite_a=True)
     return A.T @ sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T"))
 
 
@@ -255,13 +277,12 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
     and apply policy to their negative raw weights.
     """
     A, b = system.matrix, system.rhs
-    if A.shape[0] < 1:
-        raise ValueError("system must have at least one row")
+    if A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError("system must have at least one row and one column")
     lam = config.regularization
     if lam is None:
         # max|A| without the |A| temporary, which is as large as A
-        scale = float(max(A.max(), -A.min())) if A.size else 0.0
-        lam = _AUTO_SCALE * scale
+        lam = _AUTO_SCALE * float(max(A.max(), -A.min()))
 
     w = _tikhonov_solve(A, b, lam)
     residual = float(np.linalg.norm(A @ w - b))

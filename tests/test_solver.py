@@ -11,7 +11,7 @@ from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
 from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
-from surfquad.solver import (IndicatorSystem, NegativeWeightPolicy, SolverConfig,
+from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy, SolverConfig,
                              SystemLayout, _tikhonov_solve, assemble_scalar_system,
                              assemble_vector_system, indicator_values,
                              integrate_function, solve_weights)
@@ -139,13 +139,34 @@ def test_tikhonov_wide_branch_matches_oracle():
     assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
+# factored widths k of one block, one column short of a block, an exact
+# block, a partial last block and several blocks, as tall (2k + 1, k) and
+# wide (k, 2k + 1) systems; the tall stack factors k + 1 columns, its last
+# one [b; 0]
+BLOCK_EDGE_SHAPES = [shape for k in (1, QR_BLOCK - 1, QR_BLOCK, QR_BLOCK + 1, 2 * QR_BLOCK + 2)
+                     for shape in ((2 * k + 1, k), (k, 2 * k + 1))]
+
+
+@pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES)
+def test_tikhonov_block_edges_match_normal_equations(shape):
+    # entries scaled so that the singular values stay O(1) at every k: the
+    # wide oracle's A^T A + lam^2 I is singular at lam = 0, and its condition
+    # number (sigma_max / lam)^2 must leave it 10 clean digits
+    rng = np.random.default_rng(shape[0] + shape[1])
+    A = rng.standard_normal(shape) / np.sqrt(shape[1])
+    b = rng.standard_normal(shape[0])
+    w = _tikhonov_solve(A, b, 1e-3)
+    oracle = normal_equations_solve(A, b, 1e-3)
+    assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
 def _svd_filter_solve(A, b, lam):
     """Tikhonov reference through the SVD filter factors s / (s^2 + lam^2)."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return Vt.T @ (s / (s * s + lam * lam) * (U.T @ b))
 
 
-@pytest.mark.parametrize("shape", [(60, 25), (40, 40), (25, 60)])
+@pytest.mark.parametrize("shape", [(60, 25), (40, 40), (25, 60), *BLOCK_EDGE_SHAPES])
 def test_tikhonov_matches_svd_reference_at_production_lambda(shape):
     rng = np.random.default_rng(7 * shape[0] + shape[1])
     A = rng.standard_normal(shape)
@@ -154,6 +175,41 @@ def test_tikhonov_matches_svd_reference_at_production_lambda(shape):
     ref = _svd_filter_solve(A, b, lam)
     w = _tikhonov_solve(A, b, lam)
     assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_tall_path_on_closed_sphere_at_production_lambda():
+    # 800 x 400, seven blocks of the tall stack; lam = 1e-6 max|A| is 7e-9 of
+    # A's largest singular value. Relative to the reference, over query seeds
+    # 1-8, the weights were 8.5e-9 to 1.3e-8 away with qr_multiply and 1.1e-8
+    # to 1.6e-8 with dgeqrt, the objective within 3.0e-10 and 1.4e-10; at
+    # seed 1, 8.5e-9 and 1.6e-8 away, within 7.7e-11 and 1.4e-11
+    sample = gen_fibonacci_sphere(400)
+    queries = interior_queries(sphere_spec(), 800, seed=1)
+    A = assemble_scalar_system(queries, sample, KernelConfig(3)).matrix
+    b = np.ones(len(A))
+    lam = 1e-6 * np.max(np.abs(A))
+    ref = _svd_filter_solve(A, b, lam)
+    w = _tikhonov_solve(A, b, lam)
+
+    def objective(x):
+        return np.linalg.norm(A @ x - b) ** 2 + lam * lam * np.linalg.norm(x) ** 2
+
+    assert np.linalg.norm(w - ref) <= 5e-8 * np.linalg.norm(ref)
+    assert abs(objective(w) - objective(ref)) <= 1e-9 * objective(ref)
+
+
+@pytest.mark.parametrize("seeds", [(4, 5), (14, 15), (24, 25), (34, 35)])
+def test_cap_system_gram_matrix_is_indefinite(seeds):
+    # the benchmark's s2-cap systems: whether the Gram Cholesky fails is
+    # rounding, but the computed A A^T + lam^2 I has a negative eigenvalue,
+    # -1.3e-12 to -6.4e-12 on these four against lam^2 = 1e-12
+    alpha = np.pi / 3
+    system = assemble_riemann_system(cap_query_points(alpha, 500, seeds[0], side="interior"),
+                                     cap_query_points(alpha, 500, seeds[1], side="exterior"),
+                                     cap_boundary_sample(alpha, 2000), SphereModel())
+    A = system.matrix
+    lam = 1e-6 * np.max(np.abs(A))
+    assert np.linalg.eigvalsh(A @ A.T + lam * lam * np.eye(len(A)))[0] < 0.0
 
 
 def test_tikhonov_on_cap_system_where_gram_cholesky_fails():
@@ -201,6 +257,15 @@ def test_solve_weights_matches_oracle_end_to_end():
                             policy=NegativeWeightPolicy.FLIP)
     oracle = normal_equations_solve(A, rhs, lam)
     assert np.linalg.norm(sol.tau - np.abs(oracle)) <= 1e-8 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("lam", [None, 1e-3])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_solve_refuses_a_system_without_rows_or_columns(shape, lam):
+    system = IndicatorSystem(np.zeros(shape), np.ones(shape[0]), SystemLayout.SCALAR_UNKNOWNS,
+                             shape[1])
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        solve_weights(system, SolverConfig(regularization=lam), normals=np.eye(3)[:shape[1]])
 
 
 def test_rank_deficient_unregularized_raises():
