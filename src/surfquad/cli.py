@@ -18,11 +18,10 @@ import numpy as np
 from . import textio
 from .collar import CollarConfig, build_collar, default_epsilon, integrate_with_boundary
 from .errors import SurfquadError
-from .geometry import (INTEGRANDS, OrientedSample, PointCloud, circle_r3_spec,
-                       ellipsoid_spec, evaluate_integrand, gen_circle_r3, gen_ellipsoid,
-                       gen_fibonacci_sphere, gen_hemisphere, gen_sphere_nd,
-                       hemisphere_spec, interior_queries, median_nn_spacing,
-                       s2_cap_spec, sphere_spec)
+from .geometry import (INTEGRANDS, PointCloud, circle_r3_spec, ellipsoid_spec,
+                       evaluate_integrand, gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere,
+                       gen_hemisphere, gen_sphere_nd, hemisphere_spec, interior_queries,
+                       median_nn_spacing, s2_cap_spec, sphere_spec)
 from .kernel import KernelConfig
 from .pipelines import (solve_closed_scalar, solve_closed_vector, solve_collar,
                         solve_manifold_boundary, solve_tube)
@@ -34,11 +33,6 @@ from .tube import build_tube, integrate_codim, sample_normal_sphere
 def _read_cap(path) -> ManifoldBoundarySample:
     sample = textio.read_oriented(path)
     return ManifoldBoundarySample(sample.cloud, sample.normals)
-
-
-def _write_cap(path, sample: ManifoldBoundarySample):
-    textio.write_oriented(path, OrientedSample(sample.cloud, sample.conormals),
-                          extra="manifold=s2")
 
 
 def _build_tube(base, eps, args):
@@ -152,7 +146,7 @@ _PIPELINES = {
         # one row per front point: thin-shell rows beyond that mostly add
         # near-field noise rather than information
         query_count=lambda s, a: len(s),
-        epsilon=lambda s, a: a.epsilon or default_epsilon(s),
+        epsilon=lambda s, a: default_epsilon(s) if a.epsilon is None else a.epsilon,
         build=lambda s, eps, a: build_collar(s, CollarConfig(eps)),
         tag=lambda collar, eps: f"collar eps={eps:.17g}",
         per_point=lambda meta: 2,
@@ -161,13 +155,14 @@ _PIPELINES = {
     "tube": _Pipeline(
         solve=_solve_tube, query_count=lambda s, a: 2 * len(s),
         read=textio.read_framed, write=textio.write_framed,
-        epsilon=lambda s, a: a.epsilon or 2.0 * median_nn_spacing(s.cloud),
+        epsilon=lambda s, a: 2.0 * median_nn_spacing(s.cloud) if a.epsilon is None else a.epsilon,
         build=_build_tube,
         tag=lambda tube, eps: (f"tube r={tube.directions.codim} q={tube.directions.count} "
                                f"eps={eps:.17g}"),
         per_point=lambda meta: int(meta["q"]), total=_tube_total),
     "s2-cap": _Pipeline(
-        solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap, write=_write_cap,
+        solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap,
+        write=lambda path, s: textio.write_oriented(path, s, extra="manifold=s2"),
         queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
         field=lambda dim: SphereModel().field),
 }
@@ -225,7 +220,9 @@ def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
     """eps -> solid -> queries -> solve, the chain `weights` and `study` share."""
     eps = row.epsilon(sample, args)
     built = row.build(sample, eps, args)
-    count = args.query_count or (study and row.study_query_count) or row.query_count(sample, args)
+    count = args.query_count
+    if count is None:
+        count = (study and row.study_query_count) or row.query_count(sample, args)
     margin = row.study_margin if study and args.margin is None else args.margin
     queries = row.queries(sample, spec, count, seed, eps, margin, args)
     config = SolverConfig(regularization=args.regularization)
@@ -253,7 +250,8 @@ def cmd_generate(args) -> int:
     # draw the queries before writing anything, so a failed draw leaves no file
     queries = None
     if args.queries_path:
-        queries = interior_queries(fixture.spec(args, sample), args.query_count or args.count,
+        count = args.count if args.query_count is None else args.query_count
+        queries = interior_queries(fixture.spec(args, sample), count,
                                    args.query_seed, margin=args.margin,
                                    epsilon=row.epsilon(sample, args))
     row.write(args.output, sample)

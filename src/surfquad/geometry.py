@@ -84,8 +84,8 @@ class OrientedSample:
         return len(self.cloud)
 
     def flipped(self) -> "OrientedSample":
-        """Same points with every normal negated."""
-        return OrientedSample(self.cloud, -self.normals)
+        """Same points, of the same sample type, with every normal negated."""
+        return type(self)(self.cloud, -self.normals)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,10 @@ vol(domain)/vol(M); the assembled system carries a trailing offset column
 that absorbs it, with rhs 1 on interior queries and 0 on exterior ones.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegeneratePairError
-from .geometry import PointCloud, _uniform_cap_points
+from .geometry import OrientedSample, PointCloud, _uniform_cap_points
 from .solver import IndicatorSystem, SystemLayout, double_layer
 
 TANGENT_TOL = 1e-10
@@ -102,33 +100,23 @@ class SphereModel:
         return rows
 
 
-@dataclass(frozen=True)
-class ManifoldBoundarySample:
-    """Boundary points q_j with outward unit conormals tangent to the manifold."""
+class ManifoldBoundarySample(OrientedSample):
+    """Boundary points q_j with outward unit conormals, stored as the normals.
 
-    cloud: PointCloud
-    conormals: np.ndarray  # (N, 3)
+    Adds to OrientedSample's checks: the points lie on the unit sphere and
+    the conormals are tangent to it there, both within TANGENT_TOL.
+    """
 
     def __post_init__(self):
-        con = np.array(self.conormals, dtype=float)
-        object.__setattr__(self, "conormals", con)
-        con.setflags(write=False)
-        if con.shape != self.cloud.points.shape:
-            raise ValueError("conormals must match points in count and dimension")
-        lengths = np.linalg.norm(con, axis=1)
-        if np.max(np.abs(lengths - 1.0)) > TANGENT_TOL:
-            raise ValueError("conormals must be unit vectors")
-        _require_on_sphere(self.cloud.points, "boundary point")
-        radial = np.abs(np.einsum("jk,jk->j", con, self.cloud.points))
+        super().__post_init__()
+        _require_on_sphere(self.points, "boundary point")
+        radial = np.abs(np.einsum("jk,jk->j", self.normals, self.points))
         if np.max(radial) > TANGENT_TOL:
             raise ValueError("conormals must be tangent to the sphere at their points")
 
     @property
-    def points(self) -> np.ndarray:
-        return self.cloud.points
-
-    def __len__(self) -> int:
-        return len(self.cloud)
+    def conormals(self) -> np.ndarray:
+        return self.normals
 
 
 def cap_boundary_sample(alpha: float, count: int) -> ManifoldBoundarySample:

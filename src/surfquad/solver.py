@@ -26,8 +26,9 @@ faster on wide systems but squares the condition number. On S^2 cap
 systems at the production lambda the computed Gram matrix is indefinite,
 its smallest eigenvalue -1.3e-12 to -6.4e-12 against lambda^2 = 1e-12 on
 four query draws; whether its Cholesky fails depends on rounding.
-Neither needs an SVD. Plain least squares (lambda = 0) uses an SVD-backed
-solve with a rank check.
+Neither needs an SVD. Plain least squares (lambda = 0) is the tall path
+with a zero block. It refuses a wide system, which has a null space, and
+R with a reciprocal condition estimate (dtrcon, 1-norm) <= machine eps.
 """
 
 import os
@@ -122,7 +123,7 @@ class SolverConfig:
 class SolveDiagnostics:
     """What a solve did; removed_mass is sum |raw| over negative raw scalar weights.
 
-    path names the factorization: "tall-qr", "wide-qr" or "lstsq" (lambda = 0).
+    path names the factorization: "tall-qr" (rows >= cols) or "wide-qr".
     """
 
     rows: int
@@ -220,26 +221,15 @@ def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
     return IndicatorSystem(A, np.ones(len(queries)), SystemLayout.SCALAR_UNKNOWNS, len(sample))
 
 
-def _solver_path(shape: tuple[int, int], lam: float) -> str:
-    """The factorization _tikhonov_solve uses for a matrix of this shape."""
-    if lam <= 0.0:
-        return "lstsq"
-    return "tall-qr" if shape[0] >= shape[1] else "wide-qr"
-
-
 def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    path = _solver_path(A.shape, lam)
-    if path == "lstsq":
-        w, _, rank, _ = sla.lstsq(A, b, lapack_driver="gelsd")
-        if rank < A.shape[1]:
-            raise IllPosedSystemError(
-                f"system has rank {rank} < {A.shape[1]} unknowns and no regularization")
-        return w
+    tall = A.shape[0] >= A.shape[1]
+    if lam == 0.0 and not tall:
+        raise IllPosedSystemError(f"{A.shape[0]} rows cannot fix {A.shape[1]} unknowns "
+                                  f"without regularization")
     # [M; lam I] with M = A (tall) or A^T (wide), in Fortran order so that
     # LAPACK overwrites it with the factorization instead of copying it; the
     # tall stack carries [b; 0] as a last column, which the reflectors turn
     # into Q^T [b; 0]
-    tall = path == "tall-qr"
     M = A if tall else A.T
     rows, k = M.shape
     stacked = np.zeros((rows + k, k + tall), order="F")
@@ -252,6 +242,9 @@ def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError(f"dgeqrt: illegal value in argument {-info}")
     R = qr[:k, :k]
     if tall:
+        if lam == 0.0 and not (rcond := sla.lapack.dtrcon(R, norm="1")[0]) > np.finfo(float).eps:
+            raise IllPosedSystemError(f"system is rank deficient (reciprocal condition "
+                                      f"{rcond:.3g}) and has no regularization")
         return sla.solve_triangular(R, qr[:k, k])
     # R^T R = A A^T + lam^2 I, so w = A^T (A A^T + lam^2 I)^-1 b
     return A.T @ sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T"))
@@ -315,7 +308,7 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
 
     diag = SolveDiagnostics(rows=A.shape[0], cols=A.shape[1], regularization=lam,
                             negative_count=negative, removed_mass=removed,
-                            path=_solver_path(A.shape, lam))
+                            path="tall-qr" if A.shape[0] >= A.shape[1] else "wide-qr")
     return WeightSolution(mu=mu, tau=tau, residual_norm=residual,
                           diagnostics=diag, offset=offset)
 

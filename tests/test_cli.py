@@ -103,6 +103,20 @@ def test_weights_s2_cap_honours_margin(tmp_path):
     assert np.array_equal(textio.read_weights(w_margin).tau, sol.tau)
 
 
+def test_s2_cap_sample_file_round_trips(tmp_path):
+    from surfquad.cli import _PIPELINES
+    from surfquad.riemannian import ManifoldBoundarySample, cap_boundary_sample
+
+    s = tmp_path / "cap.txt"
+    assert run(["generate", "--fixture", "s2-cap", "--alpha", 1.1, "--count", 64, "-o", s]) == 0
+    assert "manifold=s2" in s.read_text().splitlines()[0]
+    read = _PIPELINES["s2-cap"].read(s)
+    written = cap_boundary_sample(1.1, 64)
+    assert isinstance(read, ManifoldBoundarySample) and isinstance(read, OrientedSample)
+    assert np.array_equal(read.points, written.points)
+    assert np.array_equal(read.conormals, written.conormals)
+
+
 def test_s2_cap_rejects_query_files(tmp_path, capsys):
     s, q, w = tmp_path / "cap.txt", tmp_path / "q.txt", tmp_path / "w.txt"
     assert run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s,
@@ -186,12 +200,32 @@ def test_lambda_sets_the_tikhonov_weight(tmp_path, capsys):
     # lambda = 0 is plain least squares, on a tall system of full rank
     assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
                 "--query-count", 300, "--lambda", 0, "-o", w]) == 0
-    assert "solver path:     lstsq\n" in capsys.readouterr().out
+    assert "solver path:     tall-qr\n" in capsys.readouterr().out
     assert run(["study", "--fixture", "sphere", "--sizes", 100, "--lambda", 1e-3,
                 "-o", out]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["lambda"] for r in rows] == ["0.001"]
+
+
+@pytest.mark.parametrize("flag, message", [("--epsilon", "epsilon must be positive"),
+                                           ("--query-count", "count must be at least 1")])
+@pytest.mark.parametrize("pipeline, fixture", [("collar", "hemisphere"), ("tube", "circle-r3")])
+def test_zero_flag_is_refused_not_defaulted(tmp_path, capsys, pipeline, fixture, flag, message):
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", fixture, "--count", 100, "-o", s])
+    assert run(["weights", "--pipeline", pipeline, "--sample", s, "--fixture", fixture,
+                flag, 0, "-o", w]) == 1
+    assert message in capsys.readouterr().err
+    assert not w.exists()
+
+
+def test_generate_zero_query_count_is_refused(tmp_path, capsys):
+    s, q = tmp_path / "s.txt", tmp_path / "q.txt"
+    assert run(["generate", "--fixture", "sphere", "--count", 100, "-o", s,
+                "--queries", q, "--query-count", 0]) == 1
+    assert "count must be at least 1" in capsys.readouterr().err
+    assert not s.exists() and not q.exists()
 
 
 def test_fixture_of_another_construction_rejected(tmp_path, capsys):

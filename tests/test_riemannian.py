@@ -5,7 +5,7 @@ import pytest
 
 from conftest import lane_rows
 from surfquad.errors import DegeneratePairError
-from surfquad.geometry import PointCloud
+from surfquad.geometry import OrientedSample, PointCloud
 from surfquad.pipelines import solve_manifold_boundary
 from surfquad.riemannian import (ManifoldBoundarySample, SphereModel,
                                  assemble_riemann_system, cap_boundary_sample,
@@ -167,6 +167,34 @@ def test_boundary_sample_off_the_sphere_rejected():
         ManifoldBoundarySample(PointCloud(1.3 * sample.points), sample.conormals)
 
 
+def test_cap_sample_is_an_oriented_sample():
+    sample = cap_boundary_sample(np.pi / 3, 16)
+    assert isinstance(sample, OrientedSample)
+    assert sample.conormals is sample.normals
+    assert len(sample) == 16 and sample.dim == 3
+    # the flipped conormals bound the complementary cap
+    flipped = sample.flipped()
+    assert type(flipped) is ManifoldBoundarySample
+    assert np.array_equal(flipped.conormals, -sample.conormals)
+
+
+def test_conormal_off_unit_length_rejected():
+    # the unit-length check of every oriented sample (1e-12) holds for conormals
+    sample = cap_boundary_sample(np.pi / 3, 16)
+    conormals = sample.conormals.copy()
+    conormals[0] *= 1.0 + 1e-11
+    with pytest.raises(ValueError, match="unit length"):
+        ManifoldBoundarySample(sample.cloud, conormals)
+
+
+def test_conormal_off_the_tangent_plane_rejected():
+    sample = cap_boundary_sample(np.pi / 3, 16)
+    conormals = sample.conormals.copy()
+    conormals[0] = sample.points[0]
+    with pytest.raises(ValueError, match="tangent"):
+        ManifoldBoundarySample(sample.cloud, conormals)
+
+
 def test_assemble_requires_both_query_classes():
     sample = cap_boundary_sample(np.pi / 3, 4)
     q = PointCloud(NORTH[None, :])
@@ -272,6 +300,27 @@ def test_cap_pipeline_length_and_offset():
     length = integrate_function(np.ones(400), sol)
     assert length == pytest.approx(2.0 * np.pi * np.sin(alpha), rel=0.05)
     assert sol.offset == pytest.approx(np.sin(alpha / 2.0) ** 2, abs=0.05)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cap_pipeline_is_rotation_invariant(seed):
+    # rotating the sample, its conormals and the queries moves the cap, not
+    # its solve
+    from scipy.stats import special_ortho_group
+
+    alpha = np.pi / 3
+    sample = cap_boundary_sample(alpha, 400)
+    qi = cap_query_points(alpha, 50, seed=21, side="interior")
+    qe = cap_query_points(alpha, 50, seed=22, side="exterior")
+    base = solve_manifold_boundary(sample, SphereModel(), qi, qe)
+    R = special_ortho_group.rvs(3, random_state=seed)
+    rotated = ManifoldBoundarySample(PointCloud(sample.points @ R.T), sample.conormals @ R.T)
+    sol = solve_manifold_boundary(rotated, SphereModel(), PointCloud(qi.points @ R.T),
+                                  PointCloud(qe.points @ R.T))
+    length = integrate_function(np.ones(400), base)
+    assert integrate_function(np.ones(400), sol) == pytest.approx(length, rel=1e-12, abs=0)
+    assert sol.offset == pytest.approx(base.offset, rel=0, abs=1e-12)
+    assert np.max(np.abs(sol.tau - base.tau)) <= 1e-8 * np.max(base.tau)
 
 
 def test_pipeline_integrates_named_moments():

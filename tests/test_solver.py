@@ -234,7 +234,7 @@ def test_tikhonov_on_cap_system_where_gram_cholesky_fails():
 @pytest.mark.parametrize("shape, lam, path", [((30, 12), 1e-3, "tall-qr"),
                                               ((12, 12), 1e-3, "tall-qr"),
                                               ((12, 30), 1e-3, "wide-qr"),
-                                              ((30, 12), 0.0, "lstsq")])
+                                              ((30, 12), 0.0, "tall-qr")])
 def test_solve_reports_solver_path(shape, lam, path):
     rng = np.random.default_rng(shape[0] * shape[1])
     A = rng.standard_normal(shape)
@@ -273,6 +273,14 @@ def test_rank_deficient_unregularized_raises():
     system = _scalar_system(A, np.ones(3))
     with pytest.raises(IllPosedSystemError):
         solve_weights(system, SolverConfig(regularization=0.0), normals=np.eye(2))
+
+
+def test_wide_unregularized_raises():
+    # full row rank, but fewer rows than unknowns: the minimizers form a line
+    A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
+    system = _scalar_system(A, np.ones(2))
+    with pytest.raises(IllPosedSystemError, match="without regularization"):
+        solve_weights(system, SolverConfig(regularization=0.0), normals=np.eye(3))
 
 
 def test_unregularized_least_squares_scaling_covariance():
