@@ -2,99 +2,31 @@
 
 Subcommands: generate | weights | integrate | indicator | study. Every
 command is deterministic given its flags; all randomness flows through the
-seeds named in them. Each construction is wired once, as one row of
-``_PIPELINES``, and every subcommand runs through that row.
+seeds named in them. Each construction is one row of
+``pipelines.PIPELINES``, and every subcommand runs through that row; this
+module holds the argument parser, the fixtures, file handling and printing.
+A flag that the chosen pipeline or fixture row does not read is refused
+(exit 1) before any file is read or written.
 """
 
 import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import textio
-from .collar import CollarConfig, build_collar, default_epsilon, integrate_with_boundary
 from .errors import SurfquadError
-from .geometry import (INTEGRANDS, PointCloud, circle_r3_spec, ellipsoid_spec,
-                       evaluate_integrand, gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere,
-                       gen_hemisphere, gen_sphere_nd, hemisphere_spec, interior_queries,
-                       median_nn_spacing, s2_cap_spec, sphere_spec)
-from .kernel import KernelConfig
-from .pipelines import (solve_closed_scalar, solve_closed_vector, solve_collar,
-                        solve_manifold_boundary, solve_tube)
-from .riemannian import (ManifoldBoundarySample, SphereModel, cap_angle, cap_boundary_sample,
-                         cap_query_points)
+from .geometry import (INTEGRANDS, circle_r3_spec, ellipsoid_spec, evaluate_integrand,
+                       gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere, gen_hemisphere,
+                       gen_sphere_nd, hemisphere_spec, interior_queries, median_nn_spacing,
+                       s2_cap_spec, sphere_spec)
+from .pipelines import PIPELINES, Pipeline
+from .riemannian import cap_angle, cap_boundary_sample
 from .solver import SolverConfig, double_layer
-from .tube import build_tube, integrate_codim, sample_normal_sphere
-
-def _read_cap(path) -> ManifoldBoundarySample:
-    sample = textio.read_oriented(path)
-    return ManifoldBoundarySample(sample.cloud, sample.normals)
-
-
-def _build_tube(base, eps, args):
-    if base.codim == 2 and args.q_directions < 8:
-        raise SurfquadError("codimension-2 tubes need at least 8 directions "
-                            "to keep the slice system conditioned")
-    return build_tube(base, sample_normal_sphere(base.codim, args.q_directions, eps))
-
-
-def _interior(sample, spec, count, seed, eps, margin, args) -> PointCloud:
-    if args.queries_path:
-        return textio.read_cloud(args.queries_path)
-    if spec is None:
-        raise SurfquadError("need --queries or --fixture to produce interior queries")
-    return interior_queries(spec, count, seed, margin=margin, epsilon=eps)
-
-
-def _cap_queries(sample, spec, count, seed, eps, margin, args):
-    if args.queries_path:
-        raise SurfquadError("s2-cap draws its interior and exterior queries from the cap "
-                            "angle of the sample and --margin; it reads no --queries file")
-    alpha = cap_angle(sample)
-    return (cap_query_points(alpha, count, seed, side="interior", margin=margin),
-            cap_query_points(alpha, count, seed + 1, side="exterior", margin=margin))
-
-
-def _solve_closed(sample, queries, args, config):
-    if args.mode == "vector":
-        sol = solve_closed_vector(sample.cloud, queries, config)
-        return sol, sample.points, sol.mu / np.maximum(sol.tau[:, None], 1e-300)
-    return solve_closed_scalar(sample, queries, config), sample.points, sample.normals
-
-
-def _solve_collar(collar, queries, args, config):
-    outward = collar.outward()
-    return solve_collar(collar, queries, config).solution, outward.points, outward.normals
-
-
-def _solve_tube(tube, queries, args, config):
-    b = tube.boundary
-    return solve_tube(tube, queries, config), b.points, b.normals
-
-
-def _solve_cap(sample, queries, args, config):
-    return (solve_manifold_boundary(sample, SphereModel(), *queries, config),
-            sample.points, sample.conormals)
-
-
-def _weighted_sum(f, tau, meta) -> float:
-    # f = None integrates 1: the sum of elements that `weights` prints
-    return float(tau.sum()) if f is None else float(np.dot(f, tau))
-
-
-def _half_sum(f, tau, meta) -> float:
-    n = len(tau) // 2
-    return integrate_with_boundary(np.ones(n) if f is None else f, tau[:n], tau[n:])
-
-
-def _tube_total(f, tau, meta) -> float:
-    q = int(meta["q"])
-    dirs = sample_normal_sphere(int(meta["r"]), q, float(meta["eps"]))
-    return integrate_codim(np.ones(len(tau) // q) if f is None else f, tau, dirs)
 
 
 @dataclass(frozen=True)
@@ -105,67 +37,8 @@ class _Fixture:
     generate: Callable     # (args, count) -> sample
     # (args, sample) -> SurfaceSpec; the sample fixes the dimension and the cap angle
     spec: Callable
+    reads: dict = field(default_factory=dict)  # the flags it reads, with their defaults
 
-
-@dataclass(frozen=True)
-class _Pipeline:
-    """One construction, from its sample file to its summation rule.
-
-    The defaults wire a closed hypersurface; a row names what differs.
-    """
-
-    solve: Callable        # (built, queries, args, config) -> (solution, points, normals)
-    query_count: Callable  # (sample, args) -> default number of queries
-    read: Callable = textio.read_oriented           # sample file -> sample
-    write: Callable = textio.write_oriented         # (path, sample) -> None
-    epsilon: Callable = lambda sample, args: None   # thickness of the solid, if any
-    build: Callable = lambda sample, eps, args: sample  # -> what the solve takes
-    # (sample, spec, count, seed, eps, margin, args) -> queries
-    queries: Callable = _interior
-    tag: Callable = lambda built, eps: ""           # weight-file header tags
-    per_point: Callable = lambda meta: 1  # weight-file header -> weights per sample point
-    total: Callable = _weighted_sum    # (f at sample points or None for 1, tau, meta) -> integral
-    # ambient dim -> the double-layer field the indicator evaluates
-    field: Callable = lambda dim: KernelConfig(dim).field
-    vector: bool = False   # whether `weights --mode vector` applies
-    note: str = ""         # extra `weights` report line, formatted with eps
-    # `study` defaults where they differ from `weights`
-    study_query_count: int | None = None
-    study_margin: float | None = None
-
-
-_PIPELINES = {
-    "closed": _Pipeline(
-        solve=_solve_closed, vector=True,
-        query_count=lambda s, a: (s.dim if a.mode == "vector" else 2) * len(s),
-        # closer queries than the deep-interior default: the study should
-        # expose the resolution-limited error, not the machine floor
-        study_query_count=300, study_margin=0.3),
-    "collar": _Pipeline(
-        solve=_solve_collar,
-        # one row per front point: thin-shell rows beyond that mostly add
-        # near-field noise rather than information
-        query_count=lambda s, a: len(s),
-        epsilon=lambda s, a: default_epsilon(s) if a.epsilon is None else a.epsilon,
-        build=lambda s, eps, a: build_collar(s, CollarConfig(eps)),
-        tag=lambda collar, eps: f"collar eps={eps:.17g}",
-        per_point=lambda meta: 2,
-        total=_half_sum,
-        note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
-    "tube": _Pipeline(
-        solve=_solve_tube, query_count=lambda s, a: 2 * len(s),
-        read=textio.read_framed, write=textio.write_framed,
-        epsilon=lambda s, a: 2.0 * median_nn_spacing(s.cloud) if a.epsilon is None else a.epsilon,
-        build=_build_tube,
-        tag=lambda tube, eps: (f"tube r={tube.directions.codim} q={tube.directions.count} "
-                               f"eps={eps:.17g}"),
-        per_point=lambda meta: int(meta["q"]), total=_tube_total),
-    "s2-cap": _Pipeline(
-        solve=_solve_cap, query_count=lambda s, a: 50, read=_read_cap,
-        write=lambda path, s: textio.write_oriented(path, s, extra="manifold=s2"),
-        queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
-        field=lambda dim: SphereModel().field),
-}
 
 # a sample file does not record its ellipsoid's axes; a point this far from
 # x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 (17-digit files round to about 1e-15) means
@@ -190,43 +63,73 @@ _FIXTURES = {
     "sphere": _Fixture("closed", lambda a, n: gen_fibonacci_sphere(n),
                        lambda a, s: sphere_spec()),
     "sphere-nd": _Fixture("closed", lambda a, n: gen_sphere_nd(n, a.dim, a.seed),
-                          lambda a, s: sphere_spec(s.dim)),
+                          lambda a, s: sphere_spec(s.dim), {"dim": 3}),
     "ellipsoid": _Fixture("closed", lambda a, n: gen_ellipsoid(a.a, a.b, a.c, n, a.seed),
-                          _ellipsoid_fixture_spec),
+                          _ellipsoid_fixture_spec, {"a": 1.0, "b": 1.0, "c": 1.0}),
     "hemisphere": _Fixture("collar", lambda a, n: gen_hemisphere(n),
                            lambda a, s: hemisphere_spec()),
     "circle-r3": _Fixture("tube", lambda a, n: gen_circle_r3(n),
                           lambda a, s: circle_r3_spec()),
     "s2-cap": _Fixture("s2-cap", lambda a, n: cap_boundary_sample(a.alpha, n),
-                       lambda a, s: s2_cap_spec(cap_angle(s))),
+                       lambda a, s: s2_cap_spec(cap_angle(s)), {"alpha": np.pi / 3}),
 }
-FIXTURES = tuple(_FIXTURES)
-PIPELINES = tuple(_PIPELINES)
 STUDY_HEADER = ["N", "eps", "lambda", "residual", "integral", "ref", "rel_err", "seconds"]
+# the flag of each optional pipeline or fixture input, as a refusal names it
+_FLAGS = {"epsilon": "--epsilon", "q_directions": "--q-directions", "vector": "--mode vector",
+          "queries": "--queries file", "dim": "--dim", "alpha": "--alpha",
+          "a": "--a", "b": "--b", "c": "--c"}
 
 
-def _spec(args, pipeline: str, sample):
+def _rows(args, pipeline: str | None = None):
+    """The --fixture row (None without one) and the pipeline row, the fixture's by default.
+
+    A given flag that some row of a table reads but the chosen row does not is
+    refused; the fixture's omitted flags take its defaults.
+    """
+    fixture = _FIXTURES.get(args.fixture)
+    pipeline = pipeline or (fixture.pipeline if fixture else None)
+    given = {key for key in _FLAGS if getattr(args, key, None) is not None}
+    if getattr(args, "mode", None) == "vector":
+        given.add("vector")
+    for table, name, kind in ((_FIXTURES, args.fixture, "fixture"),
+                              (PIPELINES, pipeline, "pipeline")):
+        reads = table[name].reads if name else ()
+        for key in [key for key in _FLAGS if key in given and key not in reads]:
+            readers = [n for n, row in table.items() if key in row.reads]
+            if readers:
+                raise SurfquadError(f"{_FLAGS[key]} applies to the {', '.join(readers)} {kind}"
+                                    f"{'s' if len(readers) > 1 else ''} only; "
+                                    f"{name or f'a command without --{kind}'} reads no "
+                                    f"{_FLAGS[key]}")
+    for key, default in (fixture.reads.items() if fixture else ()):
+        if getattr(args, key, None) is None:
+            setattr(args, key, default)
+    return fixture, PIPELINES.get(pipeline)
+
+
+def _spec(args, fixture: _Fixture | None, pipeline: str, sample):
     """The reference spec of --fixture, which must be a sample of this pipeline."""
-    if not args.fixture:
+    if fixture is None:
         return None
-    fixture = _FIXTURES[args.fixture]
     if fixture.pipeline != pipeline:
         raise SurfquadError(f"fixture {args.fixture} is a {fixture.pipeline} sample, "
                             f"not a {pipeline} one")
     return fixture.spec(args, sample)
 
 
-def _solve(row: _Pipeline, sample, spec, args, seed: int, study: bool = False):
+def _solve(row: Pipeline, sample, spec, args, seed: int, study: bool = False):
     """eps -> solid -> queries -> solve, the chain `weights` and `study` share."""
-    eps = row.epsilon(sample, args)
-    built = row.build(sample, eps, args)
+    eps = row.epsilon(sample, args.epsilon)
+    built = row.build(sample, eps, args.q_directions)
+    vector = args.mode == "vector"
     count = args.query_count
     if count is None:
-        count = (study and row.study_query_count) or row.query_count(sample, args)
+        count = (study and row.study_query_count) or row.query_count(sample, vector)
     margin = row.study_margin if study and args.margin is None else args.margin
-    queries = row.queries(sample, spec, count, seed, eps, margin, args)
+    queries = (textio.read_cloud(args.queries) if args.queries else
+               row.queries(sample, spec, count, seed, eps, margin))
     config = SolverConfig(regularization=args.regularization)
-    return (eps, built, *row.solve(built, queries, args, config))
+    return (eps, built, *row.solve(built, queries, vector, config))
 
 
 def _pipeline_of(record: textio.WeightRecord) -> str:
@@ -244,8 +147,7 @@ def _header_meta(tag: str) -> dict:
 def cmd_generate(args) -> int:
     if args.fixture is None:
         raise SurfquadError("generate needs --fixture")
-    fixture = _FIXTURES[args.fixture]
-    row = _PIPELINES[fixture.pipeline]
+    fixture, row = _rows(args)
     sample = fixture.generate(args, args.count)
     # draw the queries before writing anything, so a failed draw leaves no file
     queries = None
@@ -253,7 +155,7 @@ def cmd_generate(args) -> int:
         count = args.count if args.query_count is None else args.query_count
         queries = interior_queries(fixture.spec(args, sample), count,
                                    args.query_seed, margin=args.margin,
-                                   epsilon=row.epsilon(sample, args))
+                                   epsilon=row.epsilon(sample, args.epsilon))
     row.write(args.output, sample)
     cloud = sample.cloud
     h = median_nn_spacing(cloud) if len(cloud) > 1 else float("nan")
@@ -264,7 +166,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _report_solution(sol):
+def cmd_weights(args) -> int:
+    fixture, row = _rows(args, args.pipeline)
+    sample = row.read(args.sample_path)
+    spec = _spec(args, fixture, args.pipeline, sample)
+    eps, built, sol, points, normals = _solve(row, sample, spec, args, args.query_seed)
+    textio.write_weights(args.output, points, sol.tau, normals=normals, offset=sol.offset,
+                         extra=row.tag(built, eps))
     print(f"solver path:     {sol.diagnostics.path}")
     print(f"residual norm:   {sol.residual_norm:.6g}")
     print(f"sum of elements: {sol.tau.sum():.8g}")
@@ -272,19 +180,6 @@ def _report_solution(sol):
     print(f"removed mass:    {sol.diagnostics.removed_mass:.6g} (sum of |negative raw|)")
     if sol.offset is not None:
         print(f"offset c:        {sol.offset:.8g}")
-
-
-def cmd_weights(args) -> int:
-    row = _PIPELINES[args.pipeline]
-    if args.mode == "vector" and not row.vector:
-        raise SurfquadError("--mode vector applies to the closed pipeline only; "
-                            f"{args.pipeline} solves for scalar elements")
-    sample = row.read(args.sample_path)
-    spec = _spec(args, args.pipeline, sample)
-    eps, built, sol, points, normals = _solve(row, sample, spec, args, args.query_seed)
-    textio.write_weights(args.output, points, sol.tau, normals=normals, offset=sol.offset,
-                         extra=row.tag(built, eps))
-    _report_solution(sol)
     if row.note:
         print(row.note.format(eps=eps))
     return 0
@@ -292,11 +187,12 @@ def cmd_weights(args) -> int:
 
 def cmd_integrate(args) -> int:
     """Apply the summation rule of the construction the weight file's header names."""
+    fixture, _ = _rows(args)
     record = textio.read_weights(args.weights_path)
     pipeline = _pipeline_of(record)
-    row = _PIPELINES[pipeline]
+    row = PIPELINES[pipeline]
     sample = row.read(args.sample_path)
-    spec = _spec(args, pipeline, sample)
+    spec = _spec(args, fixture, pipeline, sample)
     k = row.per_point(record.meta)
     if len(record.tau) != k * len(sample):
         raise SurfquadError(f"{pipeline} weight file holds {len(record.tau)} weights, "
@@ -315,7 +211,7 @@ def cmd_integrate(args) -> int:
 def cmd_indicator(args) -> int:
     record = textio.read_weights(args.weights_path)
     queries = textio.read_cloud(args.queries_path)
-    field = _PIPELINES[_pipeline_of(record)].field(queries.dim)
+    field = PIPELINES[_pipeline_of(record)].field(queries.dim)
     chi = double_layer(field, queries.points, record.points,
                        record.tau[:, None] * record.normals, summed=True)
     if record.offset is not None:
@@ -333,8 +229,7 @@ def cmd_study(args) -> int:
     sizes = [int(v) for v in str(args.sizes).split(",") if v]
     if not sizes:
         raise SurfquadError("empty --sizes list")
-    fixture = _FIXTURES[args.fixture]
-    row = _PIPELINES[fixture.pipeline]
+    fixture, row = _rows(args)
     rows = []
     for i, n in enumerate(sizes):
         start = time.perf_counter()
@@ -361,53 +256,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="surfquad",
                                      description="Meshless integration on point-sampled submanifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # weights and integrate read the dimension and the cap angle off the sample
-    def fixture_args(p):
-        p.add_argument("--fixture", choices=FIXTURES)
-        p.add_argument("--a", type=float, default=1.0)
-        p.add_argument("--b", type=float, default=1.0)
-        p.add_argument("--c", type=float, default=1.0)
-
     g = sub.add_parser("generate", help="write fixture samples (and optional queries)")
-    fixture_args(g)
-    g.add_argument("--dim", type=int, default=3)
-    g.add_argument("--alpha", type=float, default=np.pi / 3)
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("-o", "--output", required=True)
+    g.add_argument("--dim", type=int)
     g.add_argument("--queries", dest="queries_path")
-    g.add_argument("--query-count", type=int, default=None)
-    g.add_argument("--query-seed", type=int, default=1)
-    g.add_argument("--margin", type=float, default=None)
-    g.add_argument("--epsilon", type=float, default=None)
     g.set_defaults(run=cmd_generate)
 
     w = sub.add_parser("weights", help="assemble and solve an indicator system")
     w.add_argument("--pipeline", choices=PIPELINES, required=True)
-    w.add_argument("--sample", dest="sample_path", required=True)
-    w.add_argument("-o", "--output", required=True)
-    w.add_argument("--queries", dest="queries_path")
-    fixture_args(w)
-    w.add_argument("--query-count", type=int, default=None)
-    w.add_argument("--query-seed", type=int, default=1)
-    w.add_argument("--margin", type=float, default=None)
-    w.add_argument("--epsilon", type=float, default=None)
-    w.add_argument("--q-directions", type=int, default=16)
+    w.add_argument("--queries")
     w.add_argument("--mode", choices=("scalar", "vector"), default="scalar")
     w.set_defaults(run=cmd_weights)
 
     it = sub.add_parser("integrate", help="integrate a named function with solved weights")
-    it.add_argument("--sample", dest="sample_path", required=True)
     it.add_argument("--weights", dest="weights_path", required=True)
     it.add_argument("--integrand", choices=sorted(INTEGRANDS), default="const1")
-    fixture_args(it)
     it.set_defaults(run=cmd_integrate)
 
     ind = sub.add_parser("indicator", help="probe the recovered indicator on a query file")
     ind.add_argument("--weights", dest="weights_path", required=True)
     ind.add_argument("--queries", dest="queries_path", required=True)
-    ind.add_argument("-o", "--output", required=True)
     ind.set_defaults(run=cmd_indicator)
 
     st = sub.add_parser("study", help="convergence sweep with CSV output")
@@ -416,20 +285,30 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--sizes", required=True,
                     help="comma-separated sample sizes, e.g. 250,500,1000,2000")
     st.add_argument("--seed", type=int, default=100)
-    st.add_argument("--query-count", type=int, default=None)
-    st.add_argument("--margin", type=float, default=None,
-                    help="query margin from the surface (sphere default 0.3)")
-    st.add_argument("--epsilon", type=float, default=None)
-    st.add_argument("--q-directions", type=int, default=16)
-    st.add_argument("--alpha", type=float, default=np.pi / 3)
-    st.add_argument("-o", "--output", required=True)
     # study generates its samples and queries, and solves scalar systems
-    st.set_defaults(run=cmd_study, queries_path=None, mode="scalar")
+    st.set_defaults(run=cmd_study, queries=None, mode="scalar")
 
+    for p in (g, w, ind, st):
+        p.add_argument("-o", "--output", required=True)
+    for p in (w, it):
+        p.add_argument("--sample", dest="sample_path", required=True)
+    # weights and integrate read the dimension and the cap angle off the sample
+    for p in (g, w, it):
+        p.add_argument("--fixture", choices=_FIXTURES)
+        for axis in ("--a", "--b", "--c"):
+            p.add_argument(axis, type=float)
+    for p in (g, st):
+        p.add_argument("--alpha", type=float)
+    for p in (g, w, st):
+        p.add_argument("--query-count", type=int)
+        p.add_argument("--margin", type=float, help="query margin from the surface")
+        p.add_argument("--epsilon", type=float)
+    for p in (g, w):
+        p.add_argument("--query-seed", type=int, default=1)
     for p in (w, st):
-        p.add_argument("--lambda", dest="regularization", type=float, default=None,
+        p.add_argument("--q-directions", type=int)
+        p.add_argument("--lambda", dest="regularization", type=float,
                        help="Tikhonov weight (default: 1e-6 * max|A|)")
-
     return parser
 
 

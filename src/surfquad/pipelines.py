@@ -1,23 +1,30 @@
 """End-to-end weight recovery for each supported construction.
 
-These helpers wire fixture samples, query clouds, kernel assembly and the
-Tikhonov solve together the same way the command-line front end does, so
-library users and tests run one call instead of four.
+The ``solve_*`` helpers wire samples, query clouds, kernel assembly and the
+Tikhonov solve together, so library users and tests run one call instead of
+four. ``PIPELINES`` holds one ``Pipeline`` row per construction, from its
+sample file to its summation rule; the command-line front end runs every
+subcommand through these rows. Row callables take plain values, not parsed
+command lines, and each row names the optional inputs it ``reads``.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .collar import CollarSample
-from .geometry import OrientedSample, PointCloud
+from . import textio
+from .collar import (CollarConfig, CollarSample, build_collar, default_epsilon,
+                     integrate_with_boundary)
+from .errors import SurfquadError
+from .geometry import OrientedSample, PointCloud, interior_queries, median_nn_spacing
 from .kernel import KernelConfig
-from .riemannian import ManifoldBoundarySample, SphereModel, assemble_riemann_system
+from .riemannian import (ManifoldBoundarySample, SphereModel, assemble_riemann_system,
+                         cap_angle, cap_query_points)
 from .solver import (NegativeWeightPolicy, SolverConfig, WeightSolution,
                      assemble_scalar_system, assemble_vector_system,
                      solve_weights)
-from .tube import TubeSample
-
+from .tube import TubeSample, build_tube, integrate_codim, sample_normal_sphere
 
 def solve_closed_scalar(sample: OrientedSample, queries: PointCloud,
                         solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
@@ -73,3 +80,128 @@ def solve_manifold_boundary(sample: ManifoldBoundarySample, model: SphereModel,
     """Offset-augmented solve on a compact Riemannian manifold."""
     system = assemble_riemann_system(interior_queries, exterior_queries, sample, model)
     return solve_weights(system, solver_config, normals=sample.conormals)
+
+
+def _read_cap(path) -> ManifoldBoundarySample:
+    sample = textio.read_oriented(path)
+    return ManifoldBoundarySample(sample.cloud, sample.normals)
+
+
+def _build_tube(base, eps, q_directions):
+    q = 16 if q_directions is None else q_directions
+    if base.codim == 2 and q < 8:
+        raise SurfquadError("codimension-2 tubes need at least 8 directions "
+                            "to keep the slice system conditioned")
+    return build_tube(base, sample_normal_sphere(base.codim, q, eps))
+
+
+def _interior(sample, spec, count, seed, eps, margin) -> PointCloud:
+    if spec is None:
+        raise SurfquadError("need --queries or --fixture to produce interior queries")
+    return interior_queries(spec, count, seed, margin=margin, epsilon=eps)
+
+
+def _cap_queries(sample, spec, count, seed, eps, margin):
+    alpha = cap_angle(sample)
+    return (cap_query_points(alpha, count, seed, side="interior", margin=margin),
+            cap_query_points(alpha, count, seed + 1, side="exterior", margin=margin))
+
+
+def _solve_closed(sample, queries, vector, config):
+    if vector:
+        sol = solve_closed_vector(sample.cloud, queries, config)
+        return sol, sample.points, sol.mu / np.maximum(sol.tau[:, None], 1e-300)
+    return solve_closed_scalar(sample, queries, config), sample.points, sample.normals
+
+
+def _solve_collar(collar, queries, vector, config):
+    outward = collar.outward()
+    return solve_collar(collar, queries, config).solution, outward.points, outward.normals
+
+
+def _weighted_sum(f, tau, meta) -> float:
+    # f = None integrates 1: the sum of elements that `weights` prints
+    return float(tau.sum()) if f is None else float(np.dot(f, tau))
+
+
+def _half_sum(f, tau, meta) -> float:
+    n = len(tau) // 2
+    return integrate_with_boundary(np.ones(n) if f is None else f, tau[:n], tau[n:])
+
+
+def _tube_total(f, tau, meta) -> float:
+    q = int(meta["q"])
+    dirs = sample_normal_sphere(int(meta["r"]), q, float(meta["eps"]))
+    return integrate_codim(np.ones(len(tau) // q) if f is None else f, tau, dirs)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One construction, from its sample file to its summation rule.
+
+    The defaults wire a closed hypersurface; a row names what differs. An
+    omitted optional input is None, and the row fills in its default.
+    """
+
+    solve: Callable        # (built, queries, vector, config) -> (solution, points, normals)
+    query_count: Callable  # (sample, vector) -> default number of queries
+    # the optional inputs it reads: "epsilon", "q_directions", "vector" (vector
+    # unknowns) and "queries" (a query file); every row reads count, seed,
+    # margin and the solver config
+    reads: frozenset = frozenset({"queries"})
+    read: Callable = textio.read_oriented           # sample file -> sample
+    write: Callable = textio.write_oriented         # (path, sample) -> None
+    epsilon: Callable = lambda sample, epsilon: None  # thickness of the solid, if any
+    build: Callable = lambda sample, eps, q_directions: sample  # -> what the solve takes
+    # (sample, spec, count, seed, eps, margin) -> queries, where no query file is given
+    queries: Callable = _interior
+    tag: Callable = lambda built, eps: ""           # weight-file header tags
+    per_point: Callable = lambda meta: 1  # weight-file header -> weights per sample point
+    total: Callable = _weighted_sum    # (f at sample points or None for 1, tau, meta) -> integral
+    # ambient dim -> the double-layer field the indicator evaluates
+    field: Callable = lambda dim: KernelConfig(dim).field
+    note: str = ""         # extra `weights` report line, formatted with eps
+    # `study` defaults where they differ from `weights`
+    study_query_count: int | None = None
+    study_margin: float | None = None
+
+
+PIPELINES = {
+    "closed": Pipeline(
+        solve=_solve_closed, reads=frozenset({"queries", "vector"}),
+        query_count=lambda s, vector: (s.dim if vector else 2) * len(s),
+        # closer queries than the deep-interior default: the study should
+        # expose the resolution-limited error, not the machine floor
+        study_query_count=300, study_margin=0.3),
+    "collar": Pipeline(
+        solve=_solve_collar, reads=frozenset({"queries", "epsilon"}),
+        # one row per front point: thin-shell rows beyond that mostly add
+        # near-field noise rather than information
+        query_count=lambda s, vector: len(s),
+        epsilon=lambda s, epsilon: default_epsilon(s) if epsilon is None else epsilon,
+        build=lambda s, eps, q_directions: build_collar(s, CollarConfig(eps)),
+        tag=lambda collar, eps: f"collar eps={eps:.17g}",
+        per_point=lambda meta: 2,
+        total=_half_sum,
+        note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
+    "tube": Pipeline(
+        solve=lambda tube, queries, vector, config: (
+            solve_tube(tube, queries, config), tube.boundary.points, tube.boundary.normals),
+        reads=frozenset({"queries", "epsilon", "q_directions"}),
+        query_count=lambda s, vector: 2 * len(s),
+        read=textio.read_framed, write=textio.write_framed,
+        epsilon=lambda s, epsilon: (2.0 * median_nn_spacing(s.cloud) if epsilon is None
+                                    else epsilon),
+        build=_build_tube,
+        tag=lambda tube, eps: (f"tube r={tube.directions.codim} q={tube.directions.count} "
+                               f"eps={eps:.17g}"),
+        per_point=lambda meta: int(meta["q"]), total=_tube_total),
+    # the cap angle of its queries is the sample's; it reads no query file
+    "s2-cap": Pipeline(
+        solve=lambda s, queries, vector, config: (
+            solve_manifold_boundary(s, SphereModel(), *queries, config), s.points, s.conormals),
+        reads=frozenset(), query_count=lambda s, vector: 50, read=_read_cap,
+        write=lambda path, s: textio.write_oriented(path, s, extra="manifold=s2"),
+        queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
+        field=lambda dim: SphereModel().field),
+}

@@ -104,7 +104,7 @@ def test_weights_s2_cap_honours_margin(tmp_path):
 
 
 def test_s2_cap_sample_file_round_trips(tmp_path):
-    from surfquad.cli import _PIPELINES
+    from surfquad.pipelines import PIPELINES as _PIPELINES
     from surfquad.riemannian import ManifoldBoundarySample, cap_boundary_sample
 
     s = tmp_path / "cap.txt"
@@ -165,6 +165,51 @@ def test_weights_vector_mode_closed_only(tmp_path, capsys, pipeline, fixture):
                 "-o", w]) == 1
     assert "--mode vector applies to the closed pipeline only" in capsys.readouterr().err
     assert not w.exists()
+
+
+# one case per (subcommand, row, flag the row does not read): each command
+# line is valid without the flag, and none of them may run or write a file
+@pytest.mark.parametrize("argv, flag, readers", [
+    ("weights --pipeline closed --epsilon 0 --q-directions 0 --sample s.txt",
+     "--epsilon", "collar, tube pipelines"),
+    ("weights --pipeline s2-cap --epsilon -3 --sample cap.txt",
+     "--epsilon", "collar, tube pipelines"),
+    ("weights --pipeline collar --q-directions 12 --sample h.txt",
+     "--q-directions", "tube pipeline"),
+    ("weights --pipeline s2-cap --q-directions 12 --sample cap.txt",
+     "--q-directions", "tube pipeline"),
+    ("weights --pipeline closed --fixture sphere --a 2 --sample s.txt",
+     "--a", "ellipsoid fixture"),
+    ("weights --pipeline closed --c 2 --sample s.txt", "--c", "ellipsoid fixture"),
+    ("integrate --fixture sphere --b 2 --sample s.txt --weights w.txt",
+     "--b", "ellipsoid fixture"),
+    ("study --fixture sphere --epsilon -3 --q-directions 0 --sizes 100",
+     "--epsilon", "collar, tube pipelines"),
+    ("study --fixture hemisphere --q-directions 8 --sizes 100",
+     "--q-directions", "tube pipeline"),
+    ("study --fixture circle-r3 --alpha 0.2 --sizes 100", "--alpha", "s2-cap fixture"),
+    ("generate --fixture sphere --dim 4 --count 100", "--dim", "sphere-nd fixture"),
+    ("generate --fixture ellipsoid --alpha 0.5 --count 100", "--alpha", "s2-cap fixture"),
+    ("generate --fixture s2-cap --a 2 --count 100", "--a", "ellipsoid fixture"),
+    ("generate --fixture sphere --epsilon 0.1 --count 100 --queries q.txt",
+     "--epsilon", "collar, tube pipelines"),
+])
+def test_flag_its_row_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
+                                               argv, flag, readers):
+    monkeypatch.chdir(tmp_path)
+    for fixture, path in (("sphere", "s.txt"), ("hemisphere", "h.txt"), ("s2-cap", "cap.txt")):
+        assert run(["generate", "--fixture", fixture, "--count", 100, "-o", path]) == 0
+    sample = textio.read_oriented("s.txt")
+    textio.write_weights("w.txt", sample.points, np.full(100, 4.0 * np.pi / 100),
+                         normals=sample.normals)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    output = [] if argv.startswith("integrate") else ["-o", "out.txt"]
+    assert run([*argv.split(), *output]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} applies to the {readers} only" in err
+    assert f"reads no {flag}" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command,flag,value", [
