@@ -78,13 +78,14 @@ STUDY_HEADER = ["N", "eps", "lambda", "residual", "integral", "ref", "rel_err", 
 _FLAGS = {"epsilon": "--epsilon", "q_directions": "--q-directions", "vector": "--mode vector",
           "queries": "--queries file", "dim": "--dim", "alpha": "--alpha",
           "a": "--a", "b": "--b", "c": "--c"}
+_DRAW_FLAGS = {"query_count": "--query-count", "margin": "--margin", "query_seed": "--query-seed"}
 
 
 def _rows(args, pipeline: str | None = None):
     """The --fixture row (None without one) and the pipeline row, the fixture's by default.
 
-    A given flag that some row of a table reads but the chosen row does not is
-    refused; the fixture's omitted flags take its defaults.
+    A flag that another row of a table reads, or a query-draw flag where no
+    draw happens, is refused; omitted fixture flags and draw seeds take defaults.
     """
     fixture = _FIXTURES.get(args.fixture)
     pipeline = pipeline or (fixture.pipeline if fixture else None)
@@ -101,6 +102,16 @@ def _rows(args, pipeline: str | None = None):
                                     f"{'s' if len(readers) > 1 else ''} only; "
                                     f"{name or f'a command without --{kind}'} reads no "
                                     f"{_FLAGS[key]}")
+    # generate draws only into --queries, and reads --epsilon only for that draw
+    generate = args.command == "generate"
+    draws = bool(args.queries_path) if generate else not getattr(args, "queries", None)
+    keys = {**_DRAW_FLAGS, "epsilon": "--epsilon"} if generate else _DRAW_FLAGS
+    unused = [flag for key, flag in keys.items() if getattr(args, key, None) is not None]
+    if unused and not draws:
+        raise SurfquadError(f"{', '.join(unused)}: " + ("generate draws queries only with --queries"
+                            if generate else "a --queries file replaces the query draw"))
+    if draws and getattr(args, "query_seed", 0) is None:
+        args.query_seed = 1
     for key, default in (fixture.reads.items() if fixture else ()):
         if getattr(args, key, None) is None:
             setattr(args, key, default)
@@ -304,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--margin", type=float, help="query margin from the surface")
         p.add_argument("--epsilon", type=float)
     for p in (g, w):
-        p.add_argument("--query-seed", type=int, default=1)
+        p.add_argument("--query-seed", type=int, help="query draw seed (default 1)")
     for p in (w, st):
         p.add_argument("--q-directions", type=int)
         p.add_argument("--lambda", dest="regularization", type=float,

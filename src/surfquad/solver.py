@@ -29,6 +29,7 @@ four query draws; whether its Cholesky fails depends on rounding.
 Neither needs an SVD. Plain least squares (lambda = 0) is the tall path
 with a zero block. It refuses a wide system, which has a null space, and
 R with a reciprocal condition estimate (dtrcon, 1-norm) <= machine eps.
+A^T z and A w run on scipy's BLAS, as dgeqrt does (README, numerical notes).
 """
 
 import os
@@ -221,6 +222,13 @@ def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
     return IndicatorSystem(A, np.ones(len(queries)), SystemLayout.SCALAR_UNKNOWNS, len(sample))
 
 
+def _matvec(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """A x, or A^T x with trans, by scipy's dgemv on whichever of A, A^T is F-ordered."""
+    if A.flags.f_contiguous:
+        return sla.blas.dgemv(1.0, A, x, trans=trans)
+    return sla.blas.dgemv(1.0, A.T, x, trans=not trans)
+
+
 def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     tall = A.shape[0] >= A.shape[1]
     if lam == 0.0 and not tall:
@@ -247,7 +255,7 @@ def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
                                       f"{rcond:.3g}) and has no regularization")
         return sla.solve_triangular(R, qr[:k, k])
     # R^T R = A A^T + lam^2 I, so w = A^T (A A^T + lam^2 I)^-1 b
-    return A.T @ sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T"))
+    return _matvec(A, sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T")), trans=True)
 
 
 def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
@@ -278,7 +286,7 @@ def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig()
         lam = _AUTO_SCALE * float(max(A.max(), -A.min()))
 
     w = _tikhonov_solve(A, b, lam)
-    residual = float(np.linalg.norm(A @ w - b))
+    residual = float(np.linalg.norm(_matvec(A, w) - b))
 
     offset = None
     if system.layout is SystemLayout.VECTOR_UNKNOWNS:

@@ -212,6 +212,35 @@ def test_flag_its_row_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.iterdir()) == before
 
 
+# a --queries file replaces the query draw, and generate draws only into
+# --queries: none of these may run or write a file
+@pytest.mark.parametrize("argv, flags, why", [
+    ("weights --pipeline closed --sample s.txt --queries q.txt --query-count 5",
+     "--query-count", "a --queries file replaces the query draw"),
+    ("weights --pipeline closed --sample s.txt --queries q.txt --margin 0.9 --query-seed 3",
+     "--margin, --query-seed", "a --queries file replaces the query draw"),
+    ("weights --pipeline collar --sample h.txt --queries q.txt --query-seed 0",
+     "--query-seed", "a --queries file replaces the query draw"),
+    ("generate --fixture hemisphere --count 100 --epsilon 0.1 --query-count 3",
+     "--query-count, --epsilon", "generate draws queries only with --queries"),
+    ("generate --fixture sphere --count 100 --query-seed 2",
+     "--query-seed", "generate draws queries only with --queries"),
+    ("generate --fixture circle-r3 --count 100 --margin 0.01",
+     "--margin", "generate draws queries only with --queries"),
+])
+def test_query_draw_flag_without_a_draw_is_refused(tmp_path, monkeypatch, capsys,
+                                                   argv, flags, why):
+    monkeypatch.chdir(tmp_path)
+    assert run(["generate", "--fixture", "sphere", "--count", 100, "-o", "s.txt",
+                "--queries", "q.txt", "--query-count", 50]) == 0
+    assert run(["generate", "--fixture", "hemisphere", "--count", 100, "-o", "h.txt"]) == 0
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run([*argv.split(), "-o", "out.txt"]) == 1
+    assert f"{flags}: {why}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("weights", "--softening", 0.3), ("study", "--softening", 0.3),
     ("indicator", "--softening", 0.3), ("weights", "--rhs-mode", "half"),

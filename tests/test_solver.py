@@ -12,7 +12,7 @@ from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
 from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy, SolverConfig,
-                             SystemLayout, _tikhonov_solve, assemble_scalar_system,
+                             SystemLayout, _matvec, _tikhonov_solve, assemble_scalar_system,
                              assemble_vector_system, indicator_values,
                              integrate_function, solve_weights)
 
@@ -241,6 +241,65 @@ def test_solve_reports_solver_path(shape, lam, path):
     system = IndicatorSystem(A, np.ones(shape[0]), SystemLayout.VECTOR_UNKNOWNS, shape[1] // 3)
     sol = solve_weights(system, SolverConfig(regularization=lam))
     assert sol.diagnostics.path == path
+
+
+class _NoMatmul(np.ndarray):
+    """A matrix whose np.matmul (the @ operator, on numpy's own BLAS) raises."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("np.matmul runs on numpy's BLAS, not scipy's")
+        inputs = [x.view(np.ndarray) if isinstance(x, _NoMatmul) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("shape, lam", [((40, 12), 1e-3), ((12, 40), 1e-3), ((40, 12), 0.0)])
+def test_solve_products_run_on_scipy_blas(shape, lam):
+    # numpy's OpenBLAS pool spins on after a product and slows the next QR,
+    # so no product of the solve may go through np.matmul
+    rng = np.random.default_rng(shape[0] + 2 * shape[1])
+    A = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    guarded = A.view(_NoMatmul)
+    with pytest.raises(AssertionError, match="numpy's BLAS"):
+        guarded.T @ b
+    w = _tikhonov_solve(guarded, b, lam)
+    assert np.array_equal(w, _tikhonov_solve(A, b, lam))
+    assert np.array_equal(_matvec(guarded, w), _matvec(A, w))
+    assert np.array_equal(_matvec(guarded, b, trans=True), _matvec(A, b, trans=True))
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+def test_solve_takes_every_matrix_layout(shape):
+    # C order and a strided column slice both run dgemv on A^T (the slice on
+    # f2py's C-ordered copy) and agree bit for bit; F order runs dgemv on A
+    # itself, uncopied, whose other summation order moves only the rounding
+    rng = np.random.default_rng(shape[0] * shape[1])
+    A = rng.standard_normal(shape)
+    wider = np.zeros((shape[0], shape[1] + 5))
+    wider[:, 2:-3] = A
+    columns = wider[:, 2:-3]
+    assert not columns.flags.c_contiguous and not columns.flags.f_contiguous
+    c, sliced, fortran = (
+        solve_weights(IndicatorSystem(M, np.ones(shape[0]), SystemLayout.VECTOR_UNKNOWNS, shape[1]),
+                      SolverConfig(regularization=1e-3))
+        for M in (A, columns, np.asfortranarray(A)))
+    assert np.array_equal(sliced.mu, c.mu) and sliced.residual_norm == c.residual_norm
+    assert np.max(np.abs(fortran.mu - c.mu)) <= 1e-14 * np.max(np.abs(c.mu))
+    scale = np.linalg.norm(A) * np.linalg.norm(c.mu)
+    assert abs(fortran.residual_norm - c.residual_norm) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("shape", [(60, 25), (25, 60)])
+def test_residual_norm_matches_an_independent_residual(shape):
+    # lambda = 1 keeps the wide residual far above the rounding of A w
+    rng = np.random.default_rng(3 * shape[0] + shape[1])
+    A = rng.standard_normal(shape)
+    b = np.ones(shape[0])
+    system = IndicatorSystem(A, b, SystemLayout.VECTOR_UNKNOWNS, shape[1])
+    sol = solve_weights(system, SolverConfig(regularization=1.0))
+    oracle = np.linalg.norm(A @ sol.mu.ravel() - b)
+    assert sol.residual_norm == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_solve_weights_matches_oracle_end_to_end():
