@@ -6,7 +6,9 @@ seeds named in them. Each construction is one row of
 ``pipelines.PIPELINES``, and every subcommand runs through that row; this
 module holds the argument parser, the fixtures, file handling and printing.
 A flag that the chosen pipeline or fixture row does not read is refused
-(exit 1) before any file is read or written.
+(exit 1) before any file is read or written. ``integrate`` rebuilds the
+construction from the sample file and the weight file's header tags, and
+refuses (exit 1) a sample that does not rebuild the weight file's points.
 """
 
 import argparse
@@ -44,6 +46,9 @@ class _Fixture:
 # x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 (17-digit files round to about 1e-15) means
 # --a/--b/--c name another ellipsoid
 ON_ELLIPSOID_TOL = 1e-9
+# `integrate` refuses a rebuilt construction off the weight file's points by more than
+# this times the sample's largest coordinate; another surface is off by its spacing
+REBUILT_TOL = 1e-9
 
 
 def _ellipsoid_fixture_spec(args, sample):
@@ -139,8 +144,7 @@ def _solve(row: Pipeline, sample, spec, args, seed: int, study: bool = False):
     margin = row.study_margin if study and args.margin is None else args.margin
     queries = (textio.read_cloud(args.queries) if args.queries else
                row.queries(sample, spec, count, seed, eps, margin))
-    config = SolverConfig(regularization=args.regularization)
-    return (eps, built, *row.solve(built, queries, vector, config))
+    return eps, built, row.solve(built, queries, vector, SolverConfig(args.regularization))
 
 
 def _pipeline_of(record: textio.WeightRecord) -> str:
@@ -149,10 +153,6 @@ def _pipeline_of(record: textio.WeightRecord) -> str:
         if name in record.flags:
             return name
     return "s2-cap" if record.meta.get("manifold") == "s2" else "closed"
-
-
-def _header_meta(tag: str) -> dict:
-    return dict(token.split("=", 1) for token in tag.split() if "=" in token)
 
 
 def cmd_generate(args) -> int:
@@ -181,9 +181,13 @@ def cmd_weights(args) -> int:
     fixture, row = _rows(args, args.pipeline)
     sample = row.read(args.sample_path)
     spec = _spec(args, fixture, args.pipeline, sample)
-    eps, built, sol, points, normals = _solve(row, sample, spec, args, args.query_seed)
-    textio.write_weights(args.output, points, sol.tau, normals=normals, offset=sol.offset,
-                         extra=row.tag(built, eps))
+    eps, built, sol = _solve(row, sample, spec, args, args.query_seed)
+    weighted = row.weighted(built)
+    # vector unknowns write the orientations they recovered
+    normals = (sol.mu / np.maximum(sol.tau[:, None], 1e-300) if args.mode == "vector"
+               else weighted.normals)
+    textio.write_weights(args.output, weighted.points, sol.tau, normals=normals,
+                         offset=sol.offset, extra=row.tag(built))
     print(f"solver path:     {sol.diagnostics.path}")
     print(f"residual norm:   {sol.residual_norm:.6g}")
     print(f"sum of elements: {sol.tau.sum():.8g}")
@@ -197,18 +201,26 @@ def cmd_weights(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    """Apply the summation rule of the construction the weight file's header names."""
+    """Rebuild the construction the weight file's header names and sum over it."""
     fixture, _ = _rows(args)
     record = textio.read_weights(args.weights_path)
     pipeline = _pipeline_of(record)
     row = PIPELINES[pipeline]
     sample = row.read(args.sample_path)
     spec = _spec(args, fixture, pipeline, sample)
-    k = row.per_point(record.meta)
-    if len(record.tau) != k * len(sample):
-        raise SurfquadError(f"{pipeline} weight file holds {len(record.tau)} weights, "
-                            f"not {k} per point of the {len(sample)}-point sample")
-    value = row.total(evaluate_integrand(args.integrand, sample.points), record.tau, record.meta)
+    meta = record.meta
+    for key, tag in (("epsilon", "eps"), ("q_directions", "q")):
+        if key in row.reads and tag not in meta:
+            raise SurfquadError(f"{args.weights_path} has no {tag}= header tag to rebuild "
+                                f"its {pipeline} construction from")
+    built = row.build(sample, float(meta["eps"]) if "eps" in meta else None,
+                      int(meta["q"]) if "q" in meta else None)
+    points, tol = row.weighted(built).points, REBUILT_TOL * np.max(np.abs(sample.points))
+    if points.shape != record.points.shape or not np.max(np.abs(points - record.points)) <= tol:
+        raise SurfquadError(f"{args.weights_path} was not solved on {args.sample_path}: "
+                            f"its {len(record.points)} points are not those of the "
+                            f"{len(points)}-point {pipeline} construction rebuilt from it")
+    value = row.total(evaluate_integrand(args.integrand, sample.points), record.tau, built)
     print(f"integral[{args.integrand}] = {value:.10g}  ({len(sample)} sample points)")
     ref = spec.analytic_integrals.get(args.integrand) if spec is not None else None
     if ref is not None:
@@ -247,8 +259,8 @@ def cmd_study(args) -> int:
         sample = fixture.generate(args, n)
         spec = fixture.spec(args, sample)
         ref = spec.analytic_integrals["const1"]
-        eps, built, sol, _, _ = _solve(row, sample, spec, args, args.seed + i, study=True)
-        integral = row.total(None, sol.tau, _header_meta(row.tag(built, eps)))
+        eps, built, sol = _solve(row, sample, spec, args, args.seed + i, study=True)
+        integral = row.total(None, sol.tau, built)
         rows.append([n, eps or 0.0, sol.diagnostics.regularization, sol.residual_norm,
                      integral, ref, (integral - ref) / abs(ref),
                      time.perf_counter() - start])

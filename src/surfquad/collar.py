@@ -56,15 +56,10 @@ class CollarSample:
     def __len__(self) -> int:
         return 2 * len(self.front)
 
-    def combined(self) -> OrientedSample:
-        """Both faces as stored (normals pointing into the collar solid)."""
-        pts = np.vstack([self.front.points, self.back.points])
-        nrm = np.vstack([self.front.normals, self.back.normals])
-        return OrientedSample(PointCloud(pts), nrm)
-
     def outward(self) -> OrientedSample:
-        """Both faces oriented outward from the collar solid, for assembly."""
-        return self.combined().flipped()
+        """Both faces, front first, oriented outward from the collar solid, for assembly."""
+        pts = np.vstack([self.front.points, self.back.points])
+        return OrientedSample(PointCloud(pts), -np.vstack([self.front.normals, self.back.normals]))
 
 
 def build_collar(sample: OrientedSample, config: CollarConfig) -> CollarSample:

@@ -5,7 +5,10 @@ Tikhonov solve together, so library users and tests run one call instead of
 four. ``PIPELINES`` holds one ``Pipeline`` row per construction, from its
 sample file to its summation rule; the command-line front end runs every
 subcommand through these rows. Row callables take plain values, not parsed
-command lines, and each row names the optional inputs it ``reads``.
+command lines, and each row names the optional inputs it ``reads``. What a
+row ``build``s (the sample, a ``CollarSample`` or a ``TubeSample``) is the one
+layout of its weight files: ``weighted`` names the sample the weights live on,
+``tag`` the inputs that rebuild it, and ``total`` sums over it.
 """
 
 from dataclasses import dataclass
@@ -107,32 +110,18 @@ def _cap_queries(sample, spec, count, seed, eps, margin):
             cap_query_points(alpha, count, seed + 1, side="exterior", margin=margin))
 
 
-def _solve_closed(sample, queries, vector, config):
-    if vector:
-        sol = solve_closed_vector(sample.cloud, queries, config)
-        return sol, sample.points, sol.mu / np.maximum(sol.tau[:, None], 1e-300)
-    return solve_closed_scalar(sample, queries, config), sample.points, sample.normals
-
-
-def _solve_collar(collar, queries, vector, config):
-    outward = collar.outward()
-    return solve_collar(collar, queries, config).solution, outward.points, outward.normals
-
-
-def _weighted_sum(f, tau, meta) -> float:
+def _weighted_sum(f, tau, sample) -> float:
     # f = None integrates 1: the sum of elements that `weights` prints
     return float(tau.sum()) if f is None else float(np.dot(f, tau))
 
 
-def _half_sum(f, tau, meta) -> float:
-    n = len(tau) // 2
+def _half_sum(f, tau, collar: CollarSample) -> float:
+    n = len(collar.front)
     return integrate_with_boundary(np.ones(n) if f is None else f, tau[:n], tau[n:])
 
 
-def _tube_total(f, tau, meta) -> float:
-    q = int(meta["q"])
-    dirs = sample_normal_sphere(int(meta["r"]), q, float(meta["eps"]))
-    return integrate_codim(np.ones(len(tau) // q) if f is None else f, tau, dirs)
+def _tube_total(f, tau, tube: TubeSample) -> float:
+    return integrate_codim(np.ones(len(tube.base)) if f is None else f, tau, tube.directions)
 
 
 @dataclass(frozen=True)
@@ -143,7 +132,7 @@ class Pipeline:
     omitted optional input is None, and the row fills in its default.
     """
 
-    solve: Callable        # (built, queries, vector, config) -> (solution, points, normals)
+    solve: Callable        # (built, queries, vector, config) -> WeightSolution
     query_count: Callable  # (sample, vector) -> default number of queries
     # the optional inputs it reads: "epsilon", "q_directions", "vector" (vector
     # unknowns) and "queries" (a query file); every row reads count, seed,
@@ -153,11 +142,11 @@ class Pipeline:
     write: Callable = textio.write_oriented         # (path, sample) -> None
     epsilon: Callable = lambda sample, epsilon: None  # thickness of the solid, if any
     build: Callable = lambda sample, eps, q_directions: sample  # -> what the solve takes
+    weighted: Callable = lambda built: built  # built -> the OrientedSample the weights live on
     # (sample, spec, count, seed, eps, margin) -> queries, where no query file is given
     queries: Callable = _interior
-    tag: Callable = lambda built, eps: ""           # weight-file header tags
-    per_point: Callable = lambda meta: 1  # weight-file header -> weights per sample point
-    total: Callable = _weighted_sum    # (f at sample points or None for 1, tau, meta) -> integral
+    tag: Callable = lambda built: ""  # built -> weight-file header tags, the eps/q that rebuild it
+    total: Callable = _weighted_sum   # (f at sample points or None for 1, tau, built) -> integral
     # ambient dim -> the double-layer field the indicator evaluates
     field: Callable = lambda dim: KernelConfig(dim).field
     note: str = ""         # extra `weights` report line, formatted with eps
@@ -168,40 +157,40 @@ class Pipeline:
 
 PIPELINES = {
     "closed": Pipeline(
-        solve=_solve_closed, reads=frozenset({"queries", "vector"}),
+        solve=lambda s, queries, vector, config: (
+            solve_closed_vector(s.cloud, queries, config) if vector
+            else solve_closed_scalar(s, queries, config)),
+        reads=frozenset({"queries", "vector"}),
         query_count=lambda s, vector: (s.dim if vector else 2) * len(s),
         # closer queries than the deep-interior default: the study should
         # expose the resolution-limited error, not the machine floor
         study_query_count=300, study_margin=0.3),
     "collar": Pipeline(
-        solve=_solve_collar, reads=frozenset({"queries", "epsilon"}),
+        solve=lambda s, queries, vector, config: solve_collar(s, queries, config).solution,
+        reads=frozenset({"queries", "epsilon"}),
         # one row per front point: thin-shell rows beyond that mostly add
         # near-field noise rather than information
         query_count=lambda s, vector: len(s),
         epsilon=lambda s, epsilon: default_epsilon(s) if epsilon is None else epsilon,
         build=lambda s, eps, q_directions: build_collar(s, CollarConfig(eps)),
-        tag=lambda collar, eps: f"collar eps={eps:.17g}",
-        per_point=lambda meta: 2,
-        total=_half_sum,
+        weighted=lambda collar: collar.outward(),
+        tag=lambda collar: f"collar eps={collar.epsilon:.17g}", total=_half_sum,
         note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
     "tube": Pipeline(
-        solve=lambda tube, queries, vector, config: (
-            solve_tube(tube, queries, config), tube.boundary.points, tube.boundary.normals),
+        solve=lambda tube, queries, vector, config: solve_tube(tube, queries, config),
         reads=frozenset({"queries", "epsilon", "q_directions"}),
         query_count=lambda s, vector: 2 * len(s),
         read=textio.read_framed, write=textio.write_framed,
         epsilon=lambda s, epsilon: (2.0 * median_nn_spacing(s.cloud) if epsilon is None
                                     else epsilon),
-        build=_build_tube,
-        tag=lambda tube, eps: (f"tube r={tube.directions.codim} q={tube.directions.count} "
-                               f"eps={eps:.17g}"),
-        per_point=lambda meta: int(meta["q"]), total=_tube_total),
+        build=_build_tube, weighted=lambda tube: tube.boundary, total=_tube_total,
+        tag=lambda tube: (f"tube r={tube.directions.codim} q={tube.directions.count} "
+                          f"eps={tube.directions.epsilon:.17g}")),
     # the cap angle of its queries is the sample's; it reads no query file
     "s2-cap": Pipeline(
-        solve=lambda s, queries, vector, config: (
-            solve_manifold_boundary(s, SphereModel(), *queries, config), s.points, s.conormals),
+        solve=lambda s, qs, vector, config: solve_manifold_boundary(s, SphereModel(), *qs, config),
         reads=frozenset(), query_count=lambda s, vector: 50, read=_read_cap,
         write=lambda path, s: textio.write_oriented(path, s, extra="manifold=s2"),
-        queries=_cap_queries, tag=lambda built, eps: "manifold=s2",
+        queries=_cap_queries, tag=lambda built: "manifold=s2",
         field=lambda dim: SphereModel().field),
 }

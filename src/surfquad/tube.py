@@ -114,11 +114,6 @@ class TubeSample:
         if np.max(np.abs(gaps - eps)) > 1e-11 * max(1.0, eps):
             raise ValueError("tube points must sit at distance epsilon from their bases")
 
-    @property
-    def base_index(self) -> np.ndarray:
-        q = self.directions.count
-        return np.repeat(np.arange(len(self.base)), q)
-
     def __len__(self) -> int:
         return len(self.boundary)
 

@@ -2,13 +2,15 @@
 
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from surfquad import textio
 from surfquad.errors import ClampedMassWarning
-from surfquad.geometry import OrientedSample, PointCloud, circle_r3_spec, interior_queries
+from surfquad.geometry import (FramedSample, OrientedSample, PointCloud, circle_r3_spec,
+                               interior_queries)
 from surfquad.cli import main
 
 
@@ -419,6 +421,75 @@ def test_integrate_mismatched_files_error(tmp_path):
         run(["weights", "--pipeline", "closed", "--sample", s1, "--fixture", "sphere",
              "--query-count", 50, "-o", w])
     assert run(["integrate", "--sample", s2, "--weights", w]) == 1
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """Closed, collar and tube weight files, each with the sample it was solved on."""
+    d = tmp_path_factory.mktemp("solved")
+    files = {}
+    with warnings.catch_warnings():
+        # under-resolved clamps and collar flips are not under test here
+        warnings.simplefilter("ignore", ClampedMassWarning)
+        for pipeline, fixture, count in (("closed", "sphere", 200), ("collar", "hemisphere", 300),
+                                         ("tube", "circle-r3", 80)):
+            s, w = d / f"{pipeline}.txt", d / f"{pipeline}-w.txt"
+            assert run(["generate", "--fixture", fixture, "--count", count, "-o", s]) == 0
+            assert run(["weights", "--pipeline", pipeline, "--sample", s, "--fixture", fixture,
+                        "-o", w]) == 0
+            files[pipeline] = s, w
+    return files
+
+
+def _other_sample(args):
+    def make(tmp_path, s, w):
+        assert run(["generate", *args, "-o", tmp_path / "other.txt"]) == 0
+        return tmp_path / "other.txt", w
+    return make
+
+
+def _scaled_circle(tmp_path, s, w):
+    base = textio.read_framed(s)
+    textio.write_framed(tmp_path / "big.txt",
+                        FramedSample(PointCloud(1.1 * base.points), base.frames))
+    return tmp_path / "big.txt", w
+
+
+def _without(tag):
+    def make(tmp_path, s, w):
+        head, body = w.read_text().split("\n", 1)
+        trimmed = tmp_path / "trimmed.txt"
+        trimmed.write_text(" ".join(t for t in head.split() if not t.startswith(tag + "="))
+                           + "\n" + body)
+        return s, trimmed
+    return make
+
+
+@pytest.mark.parametrize("pipeline, make, message", [
+    # a sample of another surface with the weight file's own count: the sum
+    # came out 8.6% short on z2, 8.30 for the hemisphere's 2 pi, and -5.1e-3
+    # off the unit circle's length for its copy scaled by 1.1
+    ("closed", _other_sample(["--fixture", "sphere-nd", "--count", 200, "--seed", 7]),
+     "was not solved on"),
+    ("collar", _other_sample(["--fixture", "sphere", "--count", 300]), "was not solved on"),
+    ("tube", _scaled_circle, "was not solved on"),
+    # a header that lacks a tag its construction is rebuilt from
+    ("collar", _without("eps"), "has no eps= header tag"),
+    ("tube", _without("eps"), "has no eps= header tag"),
+    ("tube", _without("q"), "has no q= header tag"),
+], ids=["closed-on-sphere-nd", "collar-on-sphere", "tube-on-scaled-circle",
+        "collar-without-eps", "tube-without-eps", "tube-without-q"])
+def test_integrate_refuses_a_sample_that_does_not_rebuild_the_weights(
+        tmp_path, capsys, solved, pipeline, make, message):
+    s, w = make(tmp_path, *solved[pipeline])
+    capsys.readouterr()
+    assert run(["integrate", "--sample", s, "--weights", w, "--integrand", "z2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert str(w) in captured.err
+    if message == "was not solved on":
+        assert str(s) in captured.err
 
 
 def test_integrate_rejects_weights_without_normals(tmp_path, capsys):

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from surfquad import textio
 from surfquad.collar import CollarConfig, build_collar, default_epsilon
 from surfquad.errors import ClampedMassWarning
 from surfquad.geometry import (circle_r3_spec, gen_circle_r3, gen_fibonacci_sphere,
@@ -61,8 +62,8 @@ def test_every_row_has_a_case():
     assert {name for name, _ in CASES} == set(PIPELINES)
 
 
-@pytest.mark.parametrize("name, vector", list(CASES))
-def test_row_chain_matches_the_direct_solve(name, vector):
+def _chain(name, vector):
+    """The case's sample, its direct tau, and what the row builds and solves from it."""
     row = PIPELINES[name]
     with warnings.catch_warnings():
         # the chain and the direct call clamp or flip the same mass; not under test here
@@ -72,7 +73,33 @@ def test_row_chain_matches_the_direct_solve(name, vector):
         eps = row.epsilon(sample, None)
         built = row.build(sample, eps, None)
         queries = row.queries(sample, spec, row.query_count(sample, vector), SEED, eps, None)
-        sol, points, normals = row.solve(built, queries, vector, SolverConfig())
+        return sample, tau, built, row.solve(built, queries, vector, SolverConfig())
+
+
+@pytest.mark.parametrize("name, vector", list(CASES))
+def test_row_chain_matches_the_direct_solve(name, vector):
+    row = PIPELINES[name]
+    sample, tau, built, sol = _chain(name, vector)
     assert np.array_equal(sol.tau, tau)
-    assert points.shape == normals.shape == (len(tau), sample.dim)
+    weighted = row.weighted(built)
+    assert weighted.points.shape == weighted.normals.shape == (len(tau), sample.dim)
     assert ("vector" in row.reads) == (name == "closed")
+
+
+@pytest.mark.parametrize("name, vector", list(CASES))
+def test_weight_file_rebuilds_its_construction(tmp_path, name, vector):
+    row = PIPELINES[name]
+    sample, _, built, sol = _chain(name, vector)
+    weighted = row.weighted(built)
+    sample_path, weights_path = tmp_path / "s.txt", tmp_path / "w.txt"
+    row.write(sample_path, sample)
+    textio.write_weights(weights_path, weighted.points, sol.tau, normals=weighted.normals,
+                         offset=sol.offset, extra=row.tag(built))
+    record = textio.read_weights(weights_path)
+    # the header's tags and the sample file are all that rebuild the construction
+    meta = record.meta
+    rebuilt = row.build(row.read(sample_path), float(meta["eps"]) if "eps" in meta else None,
+                        int(meta["q"]) if "q" in meta else None)
+    assert np.array_equal(row.weighted(rebuilt).points, record.points)
+    ones = np.ones(len(sample))
+    assert row.total(ones, record.tau, rebuilt) == row.total(ones, record.tau, built)

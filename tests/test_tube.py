@@ -87,13 +87,6 @@ def test_tube_points_at_distance_eps():
     assert np.max(np.abs(lengths - 1.0)) < 1e-11
 
 
-def test_tube_base_index_layout():
-    base = gen_circle_r3(5)
-    dirs = sample_normal_sphere(2, 3, 0.05)
-    tube = build_tube(base, dirs)
-    assert tube.base_index.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
-
-
 def test_tube_codim_mismatch_rejected():
     base = gen_circle_r3(10)
     dirs = sample_normal_sphere(1, 2, 0.05)
