@@ -9,11 +9,11 @@ in R^n, and boundaries of domains on the round sphere.
 from .collar import CollarConfig, CollarSample, build_collar, integrate_with_boundary
 from .errors import (ClampedMassWarning, DegeneratePairError, IllPosedSystemError,
                      SelfIntersectionError, SingularEvaluationError, SurfquadError)
-from .geometry import (FramedSample, OrientedSample, PointCloud, SurfaceKind,
-                       SurfaceSpec, circle_r3_spec, ellipsoid_spec, gen_circle_r3,
-                       gen_ellipsoid, gen_fibonacci_sphere, gen_hemisphere,
-                       gen_sphere_nd, hemisphere_spec, interior_queries,
-                       median_nn_spacing, s2_cap_spec, sphere_spec)
+from .geometry import (FramedSample, OrientedSample, PointCloud, SurfaceSpec,
+                       circle_r3_spec, ellipsoid_spec, gen_circle_r3, gen_ellipsoid,
+                       gen_fibonacci_sphere, gen_hemisphere, gen_sphere_nd,
+                       hemisphere_spec, interior_queries, median_nn_spacing,
+                       s2_cap_spec, sphere_spec)
 from .kernel import (KernelConfig, double_layer_row, fundamental_solution,
                      unit_sphere_measure)
 from .pipelines import (CollarSolution, solve_closed_scalar, solve_closed_vector,

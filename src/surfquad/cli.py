@@ -54,8 +54,8 @@ REBUILT_TOL = 1e-9
 def _ellipsoid_fixture_spec(args, sample):
     """The spec of the ellipsoid --a/--b/--c name, which the sample must lie on."""
     spec = ellipsoid_spec(args.a, args.b, args.c)
-    off = (float(np.max(np.abs(np.sum((sample.points / spec.radii) ** 2, axis=1) - 1.0)))
-           if sample.dim == 3 else np.inf)
+    off = (float(np.max(np.abs(np.sum((sample.points / (args.a, args.b, args.c)) ** 2, axis=1)
+                               - 1.0))) if sample.dim == 3 else np.inf)
     if not off <= ON_ELLIPSOID_TOL:
         raise SurfquadError(
             f"sample does not lie on the ellipsoid a={args.a:g} b={args.b:g} c={args.c:g}: "

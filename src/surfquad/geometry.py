@@ -2,11 +2,14 @@
 
 All sample containers are immutable numpy-backed dataclasses. Generators are
 pure functions of their arguments: a fixed seed gives bitwise-identical
-output, which keeps every downstream tolerance reproducible.
+output, which keeps every downstream tolerance reproducible. Each fixture
+spec carries its analytic integrals and the rule that draws queries inside
+its solid, which ``interior_queries`` runs.
 """
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -125,30 +128,27 @@ class FramedSample:
         return len(self.cloud)
 
 
-class SurfaceKind(Enum):
-    SPHERE = "sphere"
-    ELLIPSOID = "ellipsoid"
-    HEMISPHERE = "hemisphere"
-    CIRCLE_R3 = "circle_r3"
-    S2_CAP = "s2_cap"
-
-
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """Synthetic test surface with analytic reference values.
+    """Synthetic test surface with analytic reference values and its query rule.
 
     ``analytic_integrals`` maps integrand names (see INTEGRANDS) to exact
-    values of the integral over the surface.
+    values of the integral over the surface; its ``const1`` entry is the
+    area. ``draw(rng, count, margin, epsilon)`` returns ``count`` points
+    inside the fixture's solid (see ``interior_queries``); it is None where
+    the fixture has no such rule.
     """
 
-    kind: SurfaceKind
-    analytic_area: float
-    radii: tuple = (1.0, 1.0, 1.0)
-    analytic_integrals: dict = field(default_factory=dict)
+    analytic_integrals: dict
+    draw: Callable | None = None
 
     def __post_init__(self):
         if self.analytic_area <= 0:
             raise ValueError("analytic_area must be positive")
+
+    @property
+    def analytic_area(self) -> float:
+        return self.analytic_integrals["const1"]
 
 
 # --- named integrands (coordinate polynomials up to degree 2) ---------------
@@ -190,14 +190,14 @@ def evaluate_integrand(name: str, points: np.ndarray) -> np.ndarray:
 # --- fixture specs -----------------------------------------------------------
 
 def sphere_spec(n: int = 3) -> SurfaceSpec:
-    """Unit sphere S^{n-1} in R^n; its radii carry the ambient dimension."""
+    """Unit sphere S^{n-1} in R^n: the ellipsoid with n unit semi-axes."""
     if n < 3:
         raise ValueError("ambient dimension must be at least 3")
     area = unit_sphere_measure(n)
     ints = {"const1": area, "x": 0.0, "y": 0.0, "z": 0.0,
             "x2": area / n, "y2": area / n, "z2": area / n,
             "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    return SurfaceSpec(SurfaceKind.SPHERE, area, radii=(1.0,) * n, analytic_integrals=ints)
+    return SurfaceSpec(ints, partial(_ellipsoid_draw, (1.0,) * n))
 
 
 def _ellipsoid_area(a: float, b: float, c: float) -> float:
@@ -218,24 +218,22 @@ def ellipsoid_spec(a: float, b: float, c: float) -> SurfaceSpec:
         raise ValueError("semi-axes must be positive")
     area = _ellipsoid_area(a, b, c)
     ints = {"const1": area, "x": 0.0, "y": 0.0, "z": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    return SurfaceSpec(SurfaceKind.ELLIPSOID, area, radii=(a, b, c), analytic_integrals=ints)
+    return SurfaceSpec(ints, partial(_ellipsoid_draw, (a, b, c)))
 
 
 def hemisphere_spec() -> SurfaceSpec:
     """Closed upper unit hemisphere {|p| = 1, z >= 0} (curved part only)."""
-    area = 2.0 * np.pi
-    ints = {"const1": area, "x": 0.0, "y": 0.0, "z": np.pi,
+    ints = {"const1": 2.0 * np.pi, "x": 0.0, "y": 0.0, "z": np.pi,
             "x2": 2.0 * np.pi / 3.0, "y2": 2.0 * np.pi / 3.0, "z2": 2.0 * np.pi / 3.0,
             "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    return SurfaceSpec(SurfaceKind.HEMISPHERE, area, analytic_integrals=ints)
+    return SurfaceSpec(ints, _collar_draw)
 
 
 def circle_r3_spec() -> SurfaceSpec:
     """Unit circle in the plane z = 0 of R^3 (a codimension-2 submanifold)."""
-    length = 2.0 * np.pi
-    ints = {"const1": length, "x": 0.0, "y": 0.0, "z": 0.0,
+    ints = {"const1": 2.0 * np.pi, "x": 0.0, "y": 0.0, "z": 0.0,
             "x2": np.pi, "y2": np.pi, "z2": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    return SurfaceSpec(SurfaceKind.CIRCLE_R3, length, analytic_integrals=ints)
+    return SurfaceSpec(ints, _tube_draw)
 
 
 def s2_cap_spec(alpha: float) -> SurfaceSpec:
@@ -251,21 +249,29 @@ def s2_cap_spec(alpha: float) -> SurfaceSpec:
     ints = {"const1": length, "x": 0.0, "y": 0.0, "z": np.cos(alpha) * length,
             "x2": np.pi * rho ** 3, "y2": np.pi * rho ** 3, "z2": np.cos(alpha) ** 2 * length,
             "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    return SurfaceSpec(SurfaceKind.S2_CAP, length, analytic_integrals=ints)
+    return SurfaceSpec(ints)
 
 
 # --- generators --------------------------------------------------------------
 
-def gen_fibonacci_sphere(count: int) -> OrientedSample:
-    """Fibonacci lattice on the unit sphere S^2; normals equal the points."""
+def _on_unit_sphere(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Points of the unit sphere S^2 at heights z and azimuths phi."""
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def _golden_spiral(count: int, height: Callable) -> OrientedSample:
+    """Point i at z = height(i) on S^2, turned by i golden angles; normals equal the points."""
     if count < 1:
         raise ValueError("count must be at least 1")
     i = np.arange(count, dtype=float)
-    z = 1.0 - (2.0 * i + 1.0) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = _GOLDEN_ANGLE * i
-    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    pts = _on_unit_sphere(height(i), _GOLDEN_ANGLE * i)
     return OrientedSample(PointCloud(pts), pts.copy())
+
+
+def gen_fibonacci_sphere(count: int) -> OrientedSample:
+    """Fibonacci lattice on the unit sphere S^2; normals equal the points."""
+    return _golden_spiral(count, lambda i: 1.0 - (2.0 * i + 1.0) / count)
 
 
 def gen_sphere_nd(count: int, n: int, seed: int) -> OrientedSample:
@@ -298,14 +304,7 @@ def gen_hemisphere(count: int) -> OrientedSample:
     uniform z gives uniform density per solid angle. Normals are the points
     themselves (outward for the sphere the hemisphere sits on).
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    i = np.arange(count, dtype=float)
-    z = i / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = _GOLDEN_ANGLE * i
-    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    return OrientedSample(PointCloud(pts), pts.copy())
+    return _golden_spiral(count, lambda i: i / count)
 
 
 def gen_circle_r3(count: int) -> FramedSample:
@@ -340,12 +339,43 @@ def _uniform_ball(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return dirs * radii[:, None]
 
 
-def _uniform_cap_points(rng: np.random.Generator, count: int, z_lo: float, z_hi: float) -> np.ndarray:
-    """Area-uniform points on the unit-sphere band z in [z_lo, z_hi]."""
-    z = rng.uniform(z_lo, z_hi, count)
+def _ellipsoid_draw(radii: tuple, rng, count, margin, epsilon) -> np.ndarray:
+    """The solid ellipsoid with semi-axes ``radii`` in R^len(radii), ``margin`` inside."""
+    c_min = min(radii)
+    m = 0.5 * c_min if margin is None else margin
+    if not 0.0 < m < c_min:
+        raise ValueError("margin must lie in (0, min semi-axis)")
+    # points with sqrt(F(p)) <= s sit at distance >= (1-s)*c_min from the surface
+    s = 1.0 - m / c_min
+    return _uniform_ball(rng, count, len(radii)) * (s * np.array(radii))
+
+
+def _collar_draw(rng, count, margin, epsilon) -> np.ndarray:
+    """The collar solid of thickness ``epsilon`` over the upper unit hemisphere."""
+    if epsilon is None:
+        raise ValueError("hemisphere fixture has no interior without a collar epsilon")
+    m = epsilon / 4.0 if margin is None else margin
+    if not 0.0 < m < epsilon / 2.0:
+        raise ValueError("margin must lie in (0, epsilon/2)")
+    # stay m away from the front/back faces and from the equatorial strip
+    t = rng.uniform(m, epsilon - m, count)
+    z = rng.uniform(np.sin(m), 1.0, count)  # area-uniform on the band z >= sin(m)
+    base = _on_unit_sphere(z, rng.uniform(0.0, 2.0 * np.pi, count))
+    return base * (1.0 + t)[:, None]
+
+
+def _tube_draw(rng, count, margin, epsilon) -> np.ndarray:
+    """The tube solid of radius ``epsilon`` around the unit circle in z = 0."""
+    if epsilon is None:
+        raise ValueError("circle fixture has no interior without a tube epsilon")
+    m = epsilon / 2.0 if margin is None else margin
+    if not 0.0 < m < epsilon:
+        raise ValueError("margin must lie in (0, epsilon)")
+    theta = rng.uniform(0.0, 2.0 * np.pi, count)
     phi = rng.uniform(0.0, 2.0 * np.pi, count)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    rho = (epsilon - m) * np.sqrt(rng.random(count))
+    ring = (1.0 + rho * np.cos(phi))
+    return np.column_stack([ring * np.cos(theta), ring * np.sin(theta), rho * np.sin(phi)])
 
 
 def interior_queries(spec: SurfaceSpec, count: int, seed: int,
@@ -353,55 +383,14 @@ def interior_queries(spec: SurfaceSpec, count: int, seed: int,
                      epsilon: float | None = None) -> PointCloud:
     """Seeded points strictly inside the solid region a fixture describes.
 
-    For sphere/ellipsoid the region is the enclosed volume. For hemisphere
-    and circle_r3 the region is the collar (resp. tube) solid of thickness
-    ``epsilon``, which must be supplied. The default margin is half the
-    region's inradius. Caps on S^2 draw their queries with
-    ``riemannian.cap_query_points``.
+    The spec's ``draw`` rule picks the region. For sphere/ellipsoid it is the
+    enclosed volume. For hemisphere and circle_r3 it is the collar (resp.
+    tube) solid of thickness ``epsilon``, which must be supplied. The default
+    margin is half the region's inradius. Caps on S^2 have no rule here; they
+    draw their queries with ``riemannian.cap_query_points``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-
-    if spec.kind is SurfaceKind.SPHERE:
-        m = 0.5 if margin is None else margin
-        if not 0.0 < m < 1.0:
-            raise ValueError("margin must lie in (0, 1) for the unit sphere")
-        return PointCloud(_uniform_ball(rng, count, len(spec.radii)) * (1.0 - m))
-
-    if spec.kind is SurfaceKind.ELLIPSOID:
-        a, b, c = spec.radii
-        c_min = min(a, b, c)
-        m = 0.5 * c_min if margin is None else margin
-        if not 0.0 < m < c_min:
-            raise ValueError("margin must lie in (0, min semi-axis)")
-        # points with sqrt(F(p)) <= s sit at Euclidean distance >= (1-s)*c_min
-        # from the surface
-        s = 1.0 - m / c_min
-        return PointCloud(_uniform_ball(rng, count, 3) * (s * np.array([a, b, c])))
-
-    if spec.kind is SurfaceKind.HEMISPHERE:
-        if epsilon is None:
-            raise ValueError("hemisphere fixture has no interior without a collar epsilon")
-        m = epsilon / 4.0 if margin is None else margin
-        if not 0.0 < m < epsilon / 2.0:
-            raise ValueError("margin must lie in (0, epsilon/2)")
-        # stay m away from the front/back faces and from the equatorial strip
-        t = rng.uniform(m, epsilon - m, count)
-        base = _uniform_cap_points(rng, count, np.sin(m), 1.0)
-        return PointCloud(base * (1.0 + t)[:, None])
-
-    if spec.kind is SurfaceKind.CIRCLE_R3:
-        if epsilon is None:
-            raise ValueError("circle fixture has no interior without a tube epsilon")
-        m = epsilon / 2.0 if margin is None else margin
-        if not 0.0 < m < epsilon:
-            raise ValueError("margin must lie in (0, epsilon)")
-        theta = rng.uniform(0.0, 2.0 * np.pi, count)
-        phi = rng.uniform(0.0, 2.0 * np.pi, count)
-        rho = (epsilon - m) * np.sqrt(rng.random(count))
-        ring = (1.0 + rho * np.cos(phi))
-        pts = np.column_stack([ring * np.cos(theta), ring * np.sin(theta), rho * np.sin(phi)])
-        return PointCloud(pts)
-
-    raise ValueError(f"no interior-query rule for fixture kind {spec.kind}")
+    if spec.draw is None:
+        raise ValueError("no interior-query rule for this fixture")
+    return PointCloud(spec.draw(np.random.default_rng(seed), count, margin, epsilon))

@@ -13,7 +13,7 @@ that absorbs it, with rhs 1 on interior queries and 0 on exterior ones.
 import numpy as np
 
 from .errors import DegeneratePairError
-from .geometry import OrientedSample, PointCloud, _uniform_cap_points
+from .geometry import OrientedSample, PointCloud, _on_unit_sphere
 from .solver import IndicatorSystem, SystemLayout, double_layer
 
 TANGENT_TOL = 1e-10
@@ -165,7 +165,8 @@ def cap_query_points(alpha: float, count: int, seed: int, side: str = "interior"
         z_lo, z_hi = -1.0, np.cos(alpha + m)
     else:
         raise ValueError("side must be 'interior' or 'exterior'")
-    return PointCloud(_uniform_cap_points(rng, count, z_lo, z_hi))
+    z = rng.uniform(z_lo, z_hi, count)  # area-uniform on the band z_lo <= z <= z_hi
+    return PointCloud(_on_unit_sphere(z, rng.uniform(0.0, 2.0 * np.pi, count)))
 
 
 def continuous_cap_indicator(p, alpha: float, quadrature_count: int) -> float:

@@ -20,13 +20,15 @@ from .geometry import FramedSample, OrientedSample, PointCloud
 _FMT = "%.17g"
 
 
-def _write_matrix(fh, data: np.ndarray):
+def _write(path, header: str, data: np.ndarray):
     # one format call per row writes the text of _FMT per value; converting
     # a row at a time keeps the whole matrix out of Python floats
     data = np.atleast_2d(data)
     line = " ".join([_FMT] * data.shape[1]) + "\n"
-    for row in data:
-        fh.write(line % tuple(row.tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in data:
+            fh.write(line % tuple(row.tolist()))
 
 
 def _parse(path):
@@ -45,13 +47,14 @@ def _parse(path):
                     else:
                         flags.add(token)
                 continue
-            rows.append([float(v) for v in line.split()])
+            rows.append(line)
+    # loadtxt only warns on no rows; a '#' after data values stays an error
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
-    return np.asarray(rows, dtype=float), meta, flags
+    try:
+        return np.loadtxt(rows, ndmin=2, comments=None), meta, flags
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _header(dim: int, codim: int = 1, extra: str = "") -> str:
@@ -60,9 +63,7 @@ def _header(dim: int, codim: int = 1, extra: str = "") -> str:
 
 
 def write_cloud(path, cloud: PointCloud):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(cloud.dim) + "\n")
-        _write_matrix(fh, cloud.points)
+    _write(path, _header(cloud.dim), cloud.points)
 
 
 def read_cloud(path) -> PointCloud:
@@ -74,9 +75,7 @@ def read_cloud(path) -> PointCloud:
 
 
 def write_oriented(path, sample: OrientedSample, extra: str = ""):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(sample.dim, extra=extra) + "\n")
-        _write_matrix(fh, np.hstack([sample.points, sample.normals]))
+    _write(path, _header(sample.dim, extra=extra), np.hstack([sample.points, sample.normals]))
 
 
 def read_oriented(path) -> OrientedSample:
@@ -90,9 +89,7 @@ def read_oriented(path) -> OrientedSample:
 def write_framed(path, framed: FramedSample):
     n, r = framed.dim, framed.codim
     flat = framed.frames.reshape(len(framed), r * n)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(n, codim=r) + "\n")
-        _write_matrix(fh, np.hstack([framed.points, flat]))
+    _write(path, _header(n, codim=r), np.hstack([framed.points, flat]))
 
 
 def read_framed(path) -> FramedSample:
@@ -125,16 +122,14 @@ def write_weights(path, points: np.ndarray, tau: np.ndarray, normals: np.ndarray
     tags = "tau" + (f" offset={_FMT % offset}" if offset is not None else "")
     if extra:
         tags += " " + extra
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(points.shape[1], extra=tags) + "\n")
-        _write_matrix(fh, np.hstack(blocks))
+    _write(path, _header(points.shape[1], extra=tags), np.hstack(blocks))
 
 
 def read_weights(path) -> WeightRecord:
     data, meta, flags = _parse(path)
     if "tau" not in flags:
         raise ValueError(f"{path}: weight files need the 'tau' header flag")
-    dim = int(meta.get("dim", 3))
+    dim = int(meta.get("dim", (data.shape[1] - 1) // 2))
     if data.shape[1] != 2 * dim + 1:
         raise ValueError(f"{path}: expected {2 * dim + 1} columns (point, normal, tau)")
     offset = float(meta["offset"]) if "offset" in meta else None

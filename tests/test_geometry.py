@@ -238,6 +238,15 @@ def test_sphere_interior_queries_margin():
     assert np.max(np.linalg.norm(q.points, axis=1)) <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 5, 9, 123])
+@pytest.mark.parametrize("margin", [None, 0.1, 0.5, 0.9])
+def test_sphere_queries_are_the_unit_ellipsoid_rule(seed, margin):
+    # one ball rule serves both closed surfaces, draw for draw
+    a = interior_queries(sphere_spec(), 64, seed, margin=margin)
+    b = interior_queries(ellipsoid_spec(1, 1, 1), 64, seed, margin=margin)
+    assert np.array_equal(a.points, b.points)
+
+
 def test_interior_queries_deterministic():
     a = interior_queries(sphere_spec(), 64, seed=9)
     b = interior_queries(sphere_spec(), 64, seed=9)

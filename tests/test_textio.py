@@ -57,6 +57,54 @@ def test_weights_without_normals(tmp_path):
         textio.read_weights(path)
 
 
+def test_weights_dimension_from_columns_without_dim_header(tmp_path):
+    # a header without dim= reads n from the 2n + 1 columns, as oriented samples do
+    rng = np.random.default_rng(2)
+    pts = rng.standard_normal((6, 4))
+    nrm = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    tau = rng.random(6)
+    path = tmp_path / "w4.txt"
+    path.write_text("# tau\n" + "".join(" ".join("%.17g" % v for v in row) + "\n"
+                                         for row in np.hstack([pts, nrm, tau[:, None]])))
+    rec = textio.read_weights(path)
+    assert rec.points.shape == (6, 4)
+    assert np.array_equal(rec.points, pts)
+    assert np.array_equal(rec.normals, nrm)
+    assert np.array_equal(rec.tau, tau)
+
+
+def test_trailing_comment_on_data_line_rejected(tmp_path):
+    path = tmp_path / "note.txt"
+    path.write_text("# dim=3 codim=1\n1 0 0\n0 1 0 # note\n")
+    with pytest.raises(ValueError):
+        textio.read_cloud(path)
+
+
+def test_crlf_reads_as_lf(tmp_path):
+    text = "# dim=3 codim=1 tau\n0.5 0 0 1 0 0 0.25\n\n0 -1 0 0 -1 0 2e-3\n"
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    a, b = textio.read_weights(lf), textio.read_weights(crlf)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.tau, b.tau)
+    assert a.meta == b.meta and a.flags == b.flags
+
+
+def test_parsed_values_match_python_float_bitwise(tmp_path):
+    # the reference is float() per token, which the reader used before numpy's
+    tokens = ["-0.0", "5e-324", "-4.9406564584124654e-324", "1.7976931348623157e308",
+              "0.1", "1e-310", "123456789012345678901234567890", "2.2250738585072011e-308",
+              "-1E5", "+.5", "nan", "-inf"]
+    rng = np.random.default_rng(4)
+    tokens += ["%.17g" % v for v in rng.standard_normal(36) * 10.0 ** rng.integers(-30, 30, 36)]
+    rows = [tokens[k:k + 4] for k in range(0, len(tokens), 4)]
+    path = tmp_path / "vals.txt"
+    path.write_text("# dim=4\n" + "".join(" ".join(r) + "\n" for r in rows))
+    ref = np.array([[float(t) for t in r] for r in rows])
+    parsed, _, _ = textio._parse(path)
+    assert np.array_equal(parsed.view(np.uint64), ref.view(np.uint64))
+
+
 def test_comments_and_blank_lines_ignored(tmp_path):
     path = tmp_path / "in.txt"
     path.write_text("# dim=3 codim=1\n\n# a comment\n1 0 0\n\n0 1 0\n")
