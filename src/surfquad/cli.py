@@ -28,7 +28,7 @@ from .geometry import (INTEGRANDS, circle_r3_spec, ellipsoid_spec, evaluate_inte
                        s2_cap_spec, sphere_spec)
 from .pipelines import PIPELINES, Pipeline
 from .riemannian import cap_angle, cap_boundary_sample
-from .solver import SolverConfig, double_layer
+from .solver import double_layer
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def _solve(row: Pipeline, sample, spec, args, seed: int, study: bool = False):
     margin = row.study_margin if study and args.margin is None else args.margin
     queries = (textio.read_cloud(args.queries) if args.queries else
                row.queries(sample, spec, count, seed, eps, margin))
-    return eps, built, row.solve(built, queries, vector, SolverConfig(args.regularization))
+    return eps, built, row.solve(built, queries, vector, args.regularization)
 
 
 def _pipeline_of(record: textio.WeightRecord) -> str:

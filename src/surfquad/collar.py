@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import SelfIntersectionError
-from .geometry import OrientedSample, PointCloud, median_nn_spacing
+from .geometry import FramedSample, OrientedSample, PointCloud, median_nn_spacing
 
 DEFAULT_EPS_FACTOR = 2.0  # default epsilon = 2 * median nearest-neighbor spacing
 
@@ -30,7 +30,8 @@ class CollarConfig:
             raise ValueError("collar epsilon must be positive")
 
 
-def default_epsilon(sample: OrientedSample) -> float:
+def default_epsilon(sample: OrientedSample | FramedSample) -> float:
+    """The collar and tube thickness default, eps = 2h for the sample's spacing h."""
     return DEFAULT_EPS_FACTOR * median_nn_spacing(sample.cloud)
 
 

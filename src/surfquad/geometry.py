@@ -3,8 +3,8 @@
 All sample containers are immutable numpy-backed dataclasses. Generators are
 pure functions of their arguments: a fixed seed gives bitwise-identical
 output, which keeps every downstream tolerance reproducible. Each fixture
-spec carries its analytic integrals and the rule that draws queries inside
-its solid, which ``interior_queries`` runs.
+spec carries its closed-form integrals and the rule that draws queries
+inside its solid, which ``interior_queries`` runs.
 """
 
 from dataclasses import dataclass
@@ -12,8 +12,8 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.spatial import cKDTree
+from scipy.special import elliprg
 
 from .kernel import unit_sphere_measure
 
@@ -200,23 +200,11 @@ def sphere_spec(n: int = 3) -> SurfaceSpec:
     return SurfaceSpec(ints, partial(_ellipsoid_draw, (1.0,) * n))
 
 
-def _ellipsoid_area(a: float, b: float, c: float) -> float:
-    # Adaptive quadrature of the parametric surface element; exact enough
-    # for reference use (abs tol ~1e-9) without special-casing degeneracies.
-    def element(theta, phi):
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        return st * np.sqrt((b * c * st * cp) ** 2 + (a * c * st * sp) ** 2 + (a * b * ct) ** 2)
-
-    val, _ = integrate.dblquad(element, 0.0, 2.0 * np.pi, 0.0, np.pi, epsabs=1e-10, epsrel=1e-10)
-    return val
-
-
 def ellipsoid_spec(a: float, b: float, c: float) -> SurfaceSpec:
-    """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1."""
+    """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1; area by DLMF 19.33.1."""
     if min(a, b, c) <= 0:
         raise ValueError("semi-axes must be positive")
-    area = _ellipsoid_area(a, b, c)
+    area = float(4.0 * np.pi * a * b * c * elliprg(a ** -2, b ** -2, c ** -2))
     ints = {"const1": area, "x": 0.0, "y": 0.0, "z": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
     return SurfaceSpec(ints, partial(_ellipsoid_draw, (a, b, c)))
 

@@ -2,7 +2,8 @@
 
 The ``solve_*`` helpers wire samples, query clouds, kernel assembly and the
 Tikhonov solve together, so library users and tests run one call instead of
-four. ``PIPELINES`` holds one ``Pipeline`` row per construction, from its
+four, and pass their ``regularization`` (lambda) to ``solve_weights``.
+``PIPELINES`` holds one ``Pipeline`` row per construction, from its
 sample file to its summation rule; the command-line front end runs every
 subcommand through these rows. Row callables take plain values, not parsed
 command lines, and each row names the optional inputs it ``reads``. What a
@@ -20,27 +21,26 @@ from . import textio
 from .collar import (CollarConfig, CollarSample, build_collar, default_epsilon,
                      integrate_with_boundary)
 from .errors import SurfquadError
-from .geometry import OrientedSample, PointCloud, interior_queries, median_nn_spacing
+from .geometry import OrientedSample, PointCloud, interior_queries
 from .kernel import KernelConfig
 from .riemannian import (ManifoldBoundarySample, SphereModel, assemble_riemann_system,
                          cap_angle, cap_query_points)
-from .solver import (NegativeWeightPolicy, SolverConfig, WeightSolution,
-                     assemble_scalar_system, assemble_vector_system,
-                     solve_weights)
+from .solver import (NegativeWeightPolicy, WeightSolution, assemble_scalar_system,
+                     assemble_vector_system, solve_weights)
 from .tube import TubeSample, build_tube, integrate_codim, sample_normal_sphere
 
 def solve_closed_scalar(sample: OrientedSample, queries: PointCloud,
-                        solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
+                        regularization: float | None = None) -> WeightSolution:
     """Scalar-unknown solve for a closed oriented hypersurface."""
     system = assemble_scalar_system(queries, sample, KernelConfig(sample.dim))
-    return solve_weights(system, solver_config, normals=sample.normals)
+    return solve_weights(system, regularization, normals=sample.normals)
 
 
 def solve_closed_vector(sample: PointCloud, queries: PointCloud,
-                        solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
+                        regularization: float | None = None) -> WeightSolution:
     """Vector-unknown solve; recovers both elements and orientations."""
     system = assemble_vector_system(queries, sample, KernelConfig(sample.dim))
-    return solve_weights(system, solver_config)
+    return solve_weights(system, regularization)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class CollarSolution:
 
 
 def solve_collar(collar: CollarSample, queries: PointCloud,
-                 solver_config: SolverConfig = SolverConfig()) -> CollarSolution:
+                 regularization: float | None = None) -> CollarSolution:
     """Scalar solve over both collar faces against queries inside the solid.
 
     Assembly uses the outward orientation of the collar boundary (the stored
@@ -65,24 +65,24 @@ def solve_collar(collar: CollarSample, queries: PointCloud,
     # Near-antiparallel face pairs make the sign of a raw collar weight pure
     # orientation noise; flipping it to its magnitude (instead of clamping)
     # preserves the pair sums the half-sum rule needs.
-    sol = solve_weights(system, solver_config, normals=outward.normals,
+    sol = solve_weights(system, regularization, normals=outward.normals,
                         policy=NegativeWeightPolicy.FLIP)
     half = len(collar.front)
     return CollarSolution(solution=sol, front_tau=sol.tau[:half], back_tau=sol.tau[half:])
 
 
 def solve_tube(tube: TubeSample, queries: PointCloud,
-               solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
+               regularization: float | None = None) -> WeightSolution:
     """Scalar solve over the tube boundary (slice normals are outward already)."""
-    return solve_closed_scalar(tube.boundary, queries, solver_config)
+    return solve_closed_scalar(tube.boundary, queries, regularization)
 
 
 def solve_manifold_boundary(sample: ManifoldBoundarySample, model: SphereModel,
                             interior_queries: PointCloud, exterior_queries: PointCloud,
-                            solver_config: SolverConfig = SolverConfig()) -> WeightSolution:
+                            regularization: float | None = None) -> WeightSolution:
     """Offset-augmented solve on a compact Riemannian manifold."""
     system = assemble_riemann_system(interior_queries, exterior_queries, sample, model)
-    return solve_weights(system, solver_config, normals=sample.conormals)
+    return solve_weights(system, regularization, normals=sample.conormals)
 
 
 def _read_cap(path) -> ManifoldBoundarySample:
@@ -132,11 +132,11 @@ class Pipeline:
     omitted optional input is None, and the row fills in its default.
     """
 
-    solve: Callable        # (built, queries, vector, config) -> WeightSolution
+    solve: Callable        # (built, queries, vector, regularization) -> WeightSolution
     query_count: Callable  # (sample, vector) -> default number of queries
     # the optional inputs it reads: "epsilon", "q_directions", "vector" (vector
     # unknowns) and "queries" (a query file); every row reads count, seed,
-    # margin and the solver config
+    # margin and the Tikhonov weight lambda
     reads: frozenset = frozenset({"queries"})
     read: Callable = textio.read_oriented           # sample file -> sample
     write: Callable = textio.write_oriented         # (path, sample) -> None
@@ -157,16 +157,16 @@ class Pipeline:
 
 PIPELINES = {
     "closed": Pipeline(
-        solve=lambda s, queries, vector, config: (
-            solve_closed_vector(s.cloud, queries, config) if vector
-            else solve_closed_scalar(s, queries, config)),
+        solve=lambda s, queries, vector, lam: (
+            solve_closed_vector(s.cloud, queries, lam) if vector
+            else solve_closed_scalar(s, queries, lam)),
         reads=frozenset({"queries", "vector"}),
         query_count=lambda s, vector: (s.dim if vector else 2) * len(s),
         # closer queries than the deep-interior default: the study should
         # expose the resolution-limited error, not the machine floor
         study_query_count=300, study_margin=0.3),
     "collar": Pipeline(
-        solve=lambda s, queries, vector, config: solve_collar(s, queries, config).solution,
+        solve=lambda s, queries, vector, lam: solve_collar(s, queries, lam).solution,
         reads=frozenset({"queries", "epsilon"}),
         # one row per front point: thin-shell rows beyond that mostly add
         # near-field noise rather than information
@@ -177,18 +177,17 @@ PIPELINES = {
         tag=lambda collar: f"collar eps={collar.epsilon:.17g}", total=_half_sum,
         note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
     "tube": Pipeline(
-        solve=lambda tube, queries, vector, config: solve_tube(tube, queries, config),
+        solve=lambda tube, queries, vector, lam: solve_tube(tube, queries, lam),
         reads=frozenset({"queries", "epsilon", "q_directions"}),
         query_count=lambda s, vector: 2 * len(s),
         read=textio.read_framed, write=textio.write_framed,
-        epsilon=lambda s, epsilon: (2.0 * median_nn_spacing(s.cloud) if epsilon is None
-                                    else epsilon),
+        epsilon=lambda s, epsilon: default_epsilon(s) if epsilon is None else epsilon,
         build=_build_tube, weighted=lambda tube: tube.boundary, total=_tube_total,
         tag=lambda tube: (f"tube r={tube.directions.codim} q={tube.directions.count} "
                           f"eps={tube.directions.epsilon:.17g}")),
     # the cap angle of its queries is the sample's; it reads no query file
     "s2-cap": Pipeline(
-        solve=lambda s, qs, vector, config: solve_manifold_boundary(s, SphereModel(), *qs, config),
+        solve=lambda s, qs, vector, lam: solve_manifold_boundary(s, SphereModel(), *qs, lam),
         reads=frozenset(), query_count=lambda s, vector: 50, read=_read_cap,
         write=lambda path, s: textio.write_oriented(path, s, extra="manifold=s2"),
         queries=_cap_queries, tag=lambda built: "manifold=s2",

@@ -2,10 +2,10 @@
 
 Vector systems carry one R^n unknown mu_j per sample point (columns grouped
 per point); scalar systems use known normals and solve for the elements
-tau_j directly. The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2 through
-one Householder QR of a lambda-stacked matrix, built in Fortran order and
-factored in place by one LAPACK dgeqrt call, so Q is never formed, at
-O(max(m, n) min(m, n)^2):
+tau_j directly. The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2, with
+lambda a plain float (None: 1e-6 max|A|), through one Householder QR of a
+lambda-stacked matrix, built in Fortran order and factored in place by one
+LAPACK dgeqrt call, so Q is never formed, at O(max(m, n) min(m, n)^2):
 
 - tall (m >= n): [A, b; lambda I, 0] = Q [R, c]. The last column [b; 0]
   is factored with the rest, so the reflectors leave c = Q^T [b; 0] above
@@ -67,7 +67,6 @@ LANES = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # the 400 x 3200 tube's solve
 QR_BLOCK = 64
 
-AUTO_REGULARIZATION = None
 _AUTO_SCALE = 1e-6
 
 # a clamp that removes (or a flip that carries) more than this share of the
@@ -107,17 +106,6 @@ class IndicatorSystem:
             raise ValueError("matrix rows and rhs length must agree")
         if not np.all(np.isin(b, (0.0, 0.5, 1.0))):
             raise ValueError("rhs entries must be 0, 1/2 or 1")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tikhonov weight lambda; None picks lambda = 1e-6 * max|A| at solve time."""
-
-    regularization: float | None = AUTO_REGULARIZATION
-
-    def __post_init__(self):
-        if self.regularization is not None and self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -268,19 +256,22 @@ def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
         f"the sample likely does not resolve the indicator at the queries"), stacklevel=3)
 
 
-def solve_weights(system: IndicatorSystem, config: SolverConfig = SolverConfig(),
+def solve_weights(system: IndicatorSystem, regularization: float | None = None,
                   normals: np.ndarray | None = None, *,
                   policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
                   ) -> WeightSolution:
     """Solve the indicator system and unpack mu/tau per the system layout.
 
-    Scalar layouts need the sample normals to reconstruct mu_j = tau_j N(y_j),
-    and apply policy to their negative raw weights.
+    regularization is lambda >= 0, None for 1e-6 * max|A|. Scalar layouts
+    need the sample normals to reconstruct mu_j = tau_j N(y_j), and apply
+    policy to their negative raw weights.
     """
+    if regularization is not None and regularization < 0:
+        raise ValueError("regularization must be nonnegative")
     A, b = system.matrix, system.rhs
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError("system must have at least one row and one column")
-    lam = config.regularization
+    lam = regularization
     if lam is None:
         # max|A| without the |A| temporary, which is as large as A
         lam = _AUTO_SCALE * float(max(A.max(), -A.min()))

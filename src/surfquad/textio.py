@@ -7,6 +7,7 @@ Lines starting with '#' are comments; a header comment carries
 `dim=<n> codim=<r>`; weight files add the `tau` flag and the tags of their
 construction (`collar eps=...`, `tube r=... q=... eps=...`, `manifold=s2`,
 `offset=...`).
+A data line that does not read is named by its line number in the file.
 Floats are written with 17 significant digits so files round-trip losslessly
 and regeneration under identical flags is byte-identical.
 """
@@ -33,9 +34,9 @@ def _write(path, header: str, data: np.ndarray):
 
 def _parse(path):
     """Return (data matrix, header dict, flag set) for one text file."""
-    meta, flags, rows = {}, set(), []
+    meta, flags, rows, numbers = {}, set(), [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -48,12 +49,23 @@ def _parse(path):
                         flags.add(token)
                 continue
             rows.append(line)
+            numbers.append(number)
     # loadtxt only warns on no rows; a '#' after data values stays an error
     if not rows:
         raise ValueError(f"{path}: no data rows")
     try:
         return np.loadtxt(rows, ndmin=2, comments=None), meta, flags
     except ValueError as exc:
+        # name the first ragged or non-numeric data line by its line in the file
+        width = len(rows[0].split())
+        for number, tokens in zip(numbers, map(str.split, rows)):
+            try:
+                list(map(float, tokens))
+            except ValueError as bad:
+                raise ValueError(f"{path}, line {number}: {bad}") from None
+            if len(tokens) != width:
+                raise ValueError(f"{path}, line {number}: {len(tokens)} values, "
+                                 f"the first data line has {width}") from None
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -22,7 +22,7 @@ from surfquad.pipelines import (solve_closed_scalar, solve_closed_vector,
                                 solve_collar, solve_manifold_boundary, solve_tube)
 from surfquad.riemannian import (SphereModel, cap_boundary_sample, cap_query_points,
                                  continuous_cap_indicator)
-from surfquad.solver import (CLAMP_WARN_FRACTION, IndicatorSystem, SolverConfig,
+from surfquad.solver import (CLAMP_WARN_FRACTION, IndicatorSystem,
                              SystemLayout, indicator_values, integrate_function,
                              solve_weights)
 from surfquad.tube import build_tube, integrate_codim, sample_normal_sphere
@@ -177,7 +177,7 @@ def test_criterion_8_solver_oracle():
         rhs = rng.choice([0.0, 0.5, 1.0], size=rows)
         system = IndicatorSystem(A, rhs, SystemLayout.VECTOR_UNKNOWNS, sample_count)
         for lam in (0.0, 1e-3):
-            solution = solve_weights(system, SolverConfig(regularization=lam))
+            solution = solve_weights(system, lam)
             oracle = normal_equations_solve(A, rhs, lam)
             err = np.linalg.norm(solution.mu.ravel() - oracle) / np.linalg.norm(oracle)
             ok &= err < 1e-8

@@ -10,7 +10,7 @@ import pytest
 from surfquad import textio
 from surfquad.errors import ClampedMassWarning
 from surfquad.geometry import (FramedSample, OrientedSample, PointCloud, circle_r3_spec,
-                               interior_queries)
+                               gen_fibonacci_sphere, interior_queries)
 from surfquad.cli import main
 
 
@@ -284,6 +284,35 @@ def test_lambda_sets_the_tikhonov_weight(tmp_path, capsys):
     assert [r["lambda"] for r in rows] == ["0.001"]
 
 
+def test_negative_lambda_is_refused(tmp_path, capsys):
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", "sphere", "--count", 100, "-o", s])
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
+                "--lambda", -1, "-o", w]) == 1
+    assert "regularization must be nonnegative" in capsys.readouterr().err
+    assert not w.exists()
+
+
+# sample files whose layout the reader refuses: too few columns for an
+# oriented sample, a framed sample without its header, and a frame too narrow
+@pytest.mark.parametrize("pipeline, fixture, text, message", [
+    ("closed", "sphere", "# dim=3\n1 0 0 1 0\n0 1 0 0 1\n",
+     "expected 6 columns for an oriented sample"),
+    ("tube", "circle-r3", "1 0 0 1 0 0 0 0 1\n0 1 0 0 1 0 0 0 1\n",
+     "framed samples need a '# dim=<n> codim=<r>' header"),
+    ("tube", "circle-r3", "# dim=3 codim=2\n1 0 0 1 0 0 0 0\n0 1 0 0 1 0 0 0\n",
+     "expected 9 columns for codim 2"),
+], ids=["oriented-width", "framed-header", "framed-width"])
+def test_sample_file_of_the_wrong_layout_is_refused(tmp_path, capsys, pipeline, fixture,
+                                                    text, message):
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    s.write_text(text)
+    assert run(["weights", "--pipeline", pipeline, "--sample", s, "--fixture", fixture,
+                "-o", w]) == 1
+    assert message in capsys.readouterr().err
+    assert not w.exists()
+
+
 @pytest.mark.parametrize("flag, message", [("--epsilon", "epsilon must be positive"),
                                            ("--query-count", "count must be at least 1")])
 @pytest.mark.parametrize("pipeline, fixture", [("collar", "hemisphere"), ("tube", "circle-r3")])
@@ -518,6 +547,21 @@ def test_indicator_csv(tmp_path):
     assert len(rows) == 41
     chi = np.array([float(r[-1]) for r in rows[1:]])
     assert np.max(np.abs(chi - 1.0)) < 0.05
+
+
+@pytest.mark.parametrize("text, line", [("# dim=3\n0.1 0 0\n0 0.1 0\n0 0\n", 4),
+                                        ("# dim=3\n0.1 0 x\n0 0.1 0\n", 2)],
+                         ids=["ragged", "bad-token"])
+def test_unreadable_query_line_is_named_by_its_file_line(tmp_path, capsys, text, line):
+    w, q, out = tmp_path / "w.txt", tmp_path / "q.txt", tmp_path / "chi.csv"
+    sample = gen_fibonacci_sphere(50)
+    textio.write_weights(w, sample.points, np.full(50, 4.0 * np.pi / 50), sample.normals)
+    q.write_text(text)
+    assert run(["indicator", "--weights", w, "--queries", q, "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert f"{q}, line {line}: " in err
+    assert "usecols" not in err
+    assert not out.exists()
 
 
 def test_indicator_on_cap_weights_uses_sphere_field(tmp_path):

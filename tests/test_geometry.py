@@ -1,8 +1,15 @@
 """Generator contracts, sample invariants, and interior-query membership."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import surfquad
 from surfquad.geometry import (FramedSample, OrientedSample, PointCloud,
                                circle_r3_spec, ellipsoid_spec, evaluate_integrand,
                                gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere,
@@ -127,6 +134,47 @@ def test_ellipsoid_implicit_and_normals():
 def test_ellipsoid_rejects_bad_axes():
     with pytest.raises(ValueError):
         gen_ellipsoid(0.0, 1, 1, 10, seed=0)
+
+
+def _spheroid_area(a, c):
+    """Elementary area of the spheroid with equatorial radius a and polar semi-axis c."""
+    if c < a:  # oblate
+        e = np.sqrt(1.0 - (c / a) ** 2)
+        return 2.0 * np.pi * a * a * (1.0 + (1.0 - e * e) / e * np.arctanh(e))
+    e = np.sqrt(1.0 - (a / c) ** 2)  # prolate
+    return 2.0 * np.pi * a * a * (1.0 + c / (a * e) * np.arcsin(e))
+
+
+def test_ellipsoid_area_of_the_unit_sphere():
+    assert ellipsoid_spec(1, 1, 1).analytic_area == pytest.approx(4.0 * np.pi, rel=1e-13)
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 0.5), (2.0, 0.1), (1.0, 1.5), (0.3, 5.0)])
+def test_ellipsoid_area_matches_the_spheroid_formulas(a, c):
+    expected = _spheroid_area(a, c)
+    for axes in set(itertools.permutations((a, a, c))):
+        assert ellipsoid_spec(*axes).analytic_area == pytest.approx(expected, rel=1e-13)
+
+
+def test_ellipsoid_area_is_symmetric_and_scales_quadratically():
+    rng = np.random.default_rng(21)
+    for axes in rng.uniform(0.2, 5.0, (10, 3)):
+        area = ellipsoid_spec(*axes).analytic_area
+        for perm in itertools.permutations(axes):
+            assert ellipsoid_spec(*perm).analytic_area == pytest.approx(area, rel=1e-13)
+        for t in (0.25, 3.0):
+            scaled = ellipsoid_spec(*(t * axes)).analytic_area
+            assert scaled == pytest.approx(t * t * area, rel=1e-13)
+
+
+def test_import_leaves_quadrature_and_optimizers_unloaded():
+    code = ("import sys, surfquad; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(surfquad.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 # --- gen_hemisphere ----------------------------------------------------------

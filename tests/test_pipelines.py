@@ -15,7 +15,6 @@ from surfquad.geometry import (circle_r3_spec, gen_circle_r3, gen_fibonacci_sphe
 from surfquad.pipelines import (PIPELINES, solve_closed_scalar, solve_closed_vector,
                                 solve_collar, solve_manifold_boundary, solve_tube)
 from surfquad.riemannian import SphereModel, cap_boundary_sample, cap_query_points
-from surfquad.solver import SolverConfig
 from surfquad.tube import build_tube, sample_normal_sphere
 
 SEED = 4
@@ -73,7 +72,7 @@ def _chain(name, vector):
         eps = row.epsilon(sample, None)
         built = row.build(sample, eps, None)
         queries = row.queries(sample, spec, row.query_count(sample, vector), SEED, eps, None)
-        return sample, tau, built, row.solve(built, queries, vector, SolverConfig())
+        return sample, tau, built, row.solve(built, queries, vector, None)
 
 
 @pytest.mark.parametrize("name, vector", list(CASES))

@@ -11,7 +11,7 @@ from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
 from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
-from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy, SolverConfig,
+from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy,
                              SystemLayout, _matvec, _tikhonov_solve, assemble_scalar_system,
                              assemble_vector_system, indicator_values,
                              integrate_function, solve_weights)
@@ -106,13 +106,13 @@ def test_assembly_per_row_rhs():
 
 def test_identity_system_recovers_rhs():
     system = _scalar_system(np.eye(3), np.array([1.0, 1.0, 1.0]))
-    sol = solve_weights(system, SolverConfig(regularization=0.0), normals=np.eye(3))
+    sol = solve_weights(system, 0.0, normals=np.eye(3))
     assert np.allclose(sol.tau, [1.0, 1.0, 1.0])
 
 
 def test_huge_regularization_shrinks_to_zero():
     system = _scalar_system(np.eye(3), np.array([1.0, 0.5, 1.0]))
-    sol = solve_weights(system, SolverConfig(regularization=1e12), normals=np.eye(3))
+    sol = solve_weights(system, 1e12, normals=np.eye(3))
     assert np.max(sol.tau) < 1e-12
 
 
@@ -239,7 +239,7 @@ def test_solve_reports_solver_path(shape, lam, path):
     rng = np.random.default_rng(shape[0] * shape[1])
     A = rng.standard_normal(shape)
     system = IndicatorSystem(A, np.ones(shape[0]), SystemLayout.VECTOR_UNKNOWNS, shape[1] // 3)
-    sol = solve_weights(system, SolverConfig(regularization=lam))
+    sol = solve_weights(system, lam)
     assert sol.diagnostics.path == path
 
 
@@ -282,7 +282,7 @@ def test_solve_takes_every_matrix_layout(shape):
     assert not columns.flags.c_contiguous and not columns.flags.f_contiguous
     c, sliced, fortran = (
         solve_weights(IndicatorSystem(M, np.ones(shape[0]), SystemLayout.VECTOR_UNKNOWNS, shape[1]),
-                      SolverConfig(regularization=1e-3))
+                      1e-3)
         for M in (A, columns, np.asfortranarray(A)))
     assert np.array_equal(sliced.mu, c.mu) and sliced.residual_norm == c.residual_norm
     assert np.max(np.abs(fortran.mu - c.mu)) <= 1e-14 * np.max(np.abs(c.mu))
@@ -297,7 +297,7 @@ def test_residual_norm_matches_an_independent_residual(shape):
     A = rng.standard_normal(shape)
     b = np.ones(shape[0])
     system = IndicatorSystem(A, b, SystemLayout.VECTOR_UNKNOWNS, shape[1])
-    sol = solve_weights(system, SolverConfig(regularization=1.0))
+    sol = solve_weights(system, 1.0)
     oracle = np.linalg.norm(A @ sol.mu.ravel() - b)
     assert sol.residual_norm == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
@@ -311,7 +311,7 @@ def test_solve_weights_matches_oracle_end_to_end():
     lam = 1e-3
     # a random system is no indicator: its flip carries most of the mass
     with pytest.warns(ClampedMassWarning, match="flipping"):
-        sol = solve_weights(system, SolverConfig(regularization=lam),
+        sol = solve_weights(system, lam,
                             normals=rng.standard_normal((20, 3)),
                             policy=NegativeWeightPolicy.FLIP)
     oracle = normal_equations_solve(A, rhs, lam)
@@ -324,14 +324,14 @@ def test_solve_refuses_a_system_without_rows_or_columns(shape, lam):
     system = IndicatorSystem(np.zeros(shape), np.ones(shape[0]), SystemLayout.SCALAR_UNKNOWNS,
                              shape[1])
     with pytest.raises(ValueError, match="at least one row and one column"):
-        solve_weights(system, SolverConfig(regularization=lam), normals=np.eye(3)[:shape[1]])
+        solve_weights(system, lam, normals=np.eye(3)[:shape[1]])
 
 
 def test_rank_deficient_unregularized_raises():
     A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     system = _scalar_system(A, np.ones(3))
     with pytest.raises(IllPosedSystemError):
-        solve_weights(system, SolverConfig(regularization=0.0), normals=np.eye(2))
+        solve_weights(system, 0.0, normals=np.eye(2))
 
 
 def test_wide_unregularized_raises():
@@ -339,7 +339,7 @@ def test_wide_unregularized_raises():
     A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
     system = _scalar_system(A, np.ones(2))
     with pytest.raises(IllPosedSystemError, match="without regularization"):
-        solve_weights(system, SolverConfig(regularization=0.0), normals=np.eye(3))
+        solve_weights(system, 0.0, normals=np.eye(3))
 
 
 def test_unregularized_least_squares_scaling_covariance():
@@ -357,7 +357,7 @@ def test_residual_monotone_in_lambda():
     system = assemble_scalar_system(queries, sample, KernelConfig(3))
     residuals = []
     for lam in (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-        sol = solve_weights(system, SolverConfig(regularization=lam),
+        sol = solve_weights(system, lam,
                             normals=sample.normals)
         residuals.append(sol.residual_norm)
     assert all(residuals[i + 1] >= residuals[i] - 1e-12 for i in range(len(residuals) - 1))
@@ -368,14 +368,14 @@ def test_negative_weight_policies():
     normals = np.array([[1.0, 0, 0], [0, 1.0, 0]])
     # the flip carries half of the kept mass, so it must warn like a clamp
     with pytest.warns(ClampedMassWarning, match="flipping 1 negative raw weights"):
-        flip = solve_weights(system, SolverConfig(regularization=0.0), normals=normals,
+        flip = solve_weights(system, 0.0, normals=normals,
                              policy=NegativeWeightPolicy.FLIP)
     assert np.allclose(flip.tau, [0.0, 1.0])
     assert flip.diagnostics.negative_count == 1
     assert flip.diagnostics.removed_mass == pytest.approx(1.0)
     # the clamp keeps no mass at all, so any removed mass must warn
     with pytest.warns(ClampedMassWarning, match="1 negative raw weights"):
-        clamp = solve_weights(system, SolverConfig(regularization=0.0), normals=normals)
+        clamp = solve_weights(system, 0.0, normals=normals)
     assert np.allclose(clamp.tau, [0.0, 0.0])
     assert clamp.diagnostics.negative_count == 1
     assert clamp.diagnostics.removed_mass == pytest.approx(1.0)
@@ -384,14 +384,14 @@ def test_negative_weight_policies():
 def test_scalar_solve_requires_normals():
     system = _scalar_system(np.eye(2), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        solve_weights(system, SolverConfig(regularization=0.0))
+        solve_weights(system, 0.0)
 
 
 def test_vector_mode_tau_is_mu_norm():
     sample = gen_fibonacci_sphere(30)
     queries = interior_queries(sphere_spec(), 120, seed=5)
     system = assemble_vector_system(queries, sample.cloud, KernelConfig(3))
-    sol = solve_weights(system, SolverConfig())
+    sol = solve_weights(system, None)
     assert sol.mu.shape == (30, 3)
     assert np.max(np.abs(sol.tau - np.linalg.norm(sol.mu, axis=1))) < 1e-12
     assert np.all(sol.tau >= 0.0)
@@ -402,7 +402,7 @@ def test_auto_regularization_recorded():
     sample = gen_fibonacci_sphere(20)
     queries = interior_queries(sphere_spec(), 60, seed=9)
     system = assemble_scalar_system(queries, sample, KernelConfig(3))
-    sol = solve_weights(system, SolverConfig(), normals=sample.normals)
+    sol = solve_weights(system, None, normals=sample.normals)
     expected = 1e-6 * np.max(np.abs(system.matrix))
     assert sol.diagnostics.regularization == pytest.approx(expected, rel=1e-12)
     assert sol.diagnostics.rows == 60 and sol.diagnostics.cols == 20
