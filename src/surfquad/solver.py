@@ -3,23 +3,26 @@
 Vector systems carry one R^n unknown mu_j per sample point (columns grouped
 per point); scalar systems use known normals and solve for the elements
 tau_j directly. The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2, with
-lambda a plain float (None: 1e-6 max|A|), through one Householder QR of a
-lambda-stacked matrix, built in Fortran order and factored in place by one
-LAPACK dgeqrt call, so Q is never formed, at O(max(m, n) min(m, n)^2):
+lambda a plain float (None: 1e-6 max|A|), through one Householder QR of
+[lambda I; M], with M = A (tall, m >= n) or A^T (wide), so Q is never
+formed. For M of r x k it costs about 2 k^2 r flops:
 
-- tall (m >= n): [A, b; lambda I, 0] = Q [R, c]. The last column [b; 0]
-  is factored with the rest, so the reflectors leave c = Q^T [b; 0] above
-  its diagonal, and w = R^-1 c[:n];
-- wide (m < n): [A^T; lambda I] = Q R, so R^T R = A A^T + lambda^2 I and
+- tall: [lambda I, 0; A, b] = Q [R, c; 0, d]. The last column [0; b] is
+  factored with the rest, so the reflectors leave c = Q^T [0; b] in R's
+  rows, and w = R^-1 c;
+- wide: [lambda I; A^T] = Q [R; 0], so R^T R = A A^T + lambda^2 I and
   w = A^T R^-1 R^-T b.
 
-dgeqrt factors blocks of QR_BLOCK columns, each block's panel by recursive
-halving with level-3 BLAS (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
-2000), and applies it to the rest in compact-WY form. dgeqrf, behind
-scipy's qr and qr_multiply, factors each 32-column panel one column at a
-time with level-2 BLAS down the whole stack, and needs a second pass
-(ormqr) for Q^T [b; 0]; on 2 CPUs the benchmark's shapes solve 22-49%
-faster with dgeqrt (README, numerical notes).
+_tikhonov_qr factors blocks of QR_BLOCK columns and never touches a lambda
+row before its own block: a later column's lambda row is zero in the
+block's columns, so the block's reflectors leave it as it is (Elden, BIT
+17, 1977). M sits below a slot of QR_BLOCK rows that takes each block's
+own lambda rows in turn; dgeqrt factors the block's panel in place and
+dgemqrt applies it to the columns to its right. Factoring the whole stack,
+zeros included, took 2 k^2 (r + 2k/3) flops. dgeqrt runs nearly all of
+its work on level-3 BLAS (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
+2000); LAPACK's dtpqrt, made for this structure, runs its panels on
+level-2 BLAS in OpenBLAS and was slower (README, numerical notes).
 
 Neither path forms the Gram matrix A A^T + lambda^2 I: its Cholesky is
 faster on wide systems but squares the condition number. On S^2 cap
@@ -27,7 +30,7 @@ systems at the production lambda the computed Gram matrix is indefinite,
 its smallest eigenvalue -1.3e-12 to -6.4e-12 against lambda^2 = 1e-12 on
 four query draws; whether its Cholesky fails depends on rounding.
 Neither needs an SVD. Plain least squares (lambda = 0) is the tall path
-with a zero block. It refuses a wide system, which has a null space, and
+with a zero slot. It refuses a wide system, which has a null space, and
 R with a reciprocal condition estimate (dtrcon, 1-norm) <= machine eps.
 A^T z and A w run on scipy's BLAS, as dgeqrt does (README, numerical notes).
 """
@@ -61,10 +64,10 @@ LANE_ENTRIES = 1 << 14
 LANES = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1, CHUNK_ENTRIES // LANE_ENTRIES)
 
-# columns per block of the Tikhonov stack's QR: on the benchmark's shapes
-# (3000 x 1500 to 400 x 3200, 2 CPUs) blocks of 48 to 96 solved within
-# noise of each other, 32 was slower on the tall shapes and 128 doubled
-# the 400 x 3200 tube's solve
+# columns per block of the Tikhonov QR, and rows of the slot that holds a
+# block's lambda rows: on the benchmark's shapes (2 CPUs) 32 was up to 10%
+# slower than 64, and 128 up to 14% faster on the largest tall solves but
+# 2-8% slower on the tubes (README, numerical notes)
 QR_BLOCK = 64
 
 _AUTO_SCALE = 1e-6
@@ -217,33 +220,53 @@ def _matvec(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
     return sla.blas.dgemv(1.0, A.T, x, trans=not trans)
 
 
+def _tikhonov_qr(M: np.ndarray, lam: float, b: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """R of [lam I; M] = Q [R; 0] for M of r x k, and with b, c = (Q^T [0; b])[:k].
+
+    The LAPACK calls write only the work array, never M or b.
+    """
+    r, k = M.shape
+    tall = b is not None
+    work = np.empty((QR_BLOCK + r, k + tall), order="F")
+    work[QR_BLOCK:, :k] = M
+    if tall:
+        work[QR_BLOCK:, k] = b
+    R = np.zeros((k, k + tall), order="F")
+    for j0 in range(0, k, QR_BLOCK):
+        j1 = min(j0 + QR_BLOCK, k)
+        w = j1 - j0
+        # lam on the block's own diagonal only: in a partial last block the
+        # slot's next row would put it into the [0; b] column
+        work[:QR_BLOCK, j0:] = 0.0
+        work[range(w), range(j0, j1)] = lam
+        # F-ordered column slices, which the wrappers overwrite in place
+        panel = work[:, j0:j1]
+        _, t, info = sla.lapack.dgeqrt(w, panel, overwrite_a=True)
+        if info == 0 and j1 < k + tall:
+            _, info = sla.lapack.dgemqrt(panel, t, work[:, j1:], trans="T", overwrite_c=True)
+        if info != 0:
+            raise ValueError(f"LAPACK: illegal value in argument {-info}")
+        # the slot is zero below its diagonal, and no reflector of the block
+        # has a component there, so its rows are R's rows as they stand
+        R[j0:j1, j0:] = work[:w, j0:]
+    return R[:, :k], (R[:, k] if tall else None)
+
+
 def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    tall = A.shape[0] >= A.shape[1]
-    if lam == 0.0 and not tall:
-        raise IllPosedSystemError(f"{A.shape[0]} rows cannot fix {A.shape[1]} unknowns "
-                                  f"without regularization")
-    # [M; lam I] with M = A (tall) or A^T (wide), in Fortran order so that
-    # LAPACK overwrites it with the factorization instead of copying it; the
-    # tall stack carries [b; 0] as a last column, which the reflectors turn
-    # into Q^T [b; 0]
-    M = A if tall else A.T
-    rows, k = M.shape
-    stacked = np.zeros((rows + k, k + tall), order="F")
-    stacked[:rows, :k] = M
-    np.fill_diagonal(stacked[rows:], lam)
-    if tall:
-        stacked[:rows, k] = b
-    qr, _, info = sla.lapack.dgeqrt(min(QR_BLOCK, k), stacked, overwrite_a=True)
-    if info != 0:
-        raise ValueError(f"dgeqrt: illegal value in argument {-info}")
-    R = qr[:k, :k]
-    if tall:
-        if lam == 0.0 and not (rcond := sla.lapack.dtrcon(R, norm="1")[0]) > np.finfo(float).eps:
-            raise IllPosedSystemError(f"system is rank deficient (reciprocal condition "
-                                      f"{rcond:.3g}) and has no regularization")
-        return sla.solve_triangular(R, qr[:k, k])
-    # R^T R = A A^T + lam^2 I, so w = A^T (A A^T + lam^2 I)^-1 b
-    return _matvec(A, sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T")), trans=True)
+    if A.shape[0] < A.shape[1]:
+        if lam == 0.0:
+            raise IllPosedSystemError(f"{A.shape[0]} rows cannot fix {A.shape[1]} unknowns "
+                                      f"without regularization")
+        # R^T R = A A^T + lam^2 I, so w = A^T (A A^T + lam^2 I)^-1 b
+        R, _ = _tikhonov_qr(A.T, lam)
+        return _matvec(A, sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T")),
+                       trans=True)
+    R, c = _tikhonov_qr(A, lam, b)
+    if lam == 0.0 and not (rcond := sla.lapack.dtrcon(R, norm="1")[0]) > np.finfo(float).eps:
+        raise IllPosedSystemError(f"system is rank deficient (reciprocal condition "
+                                  f"{rcond:.3g}) and has no regularization")
+    return sla.solve_triangular(R, c)
 
 
 def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
@@ -266,8 +289,10 @@ def solve_weights(system: IndicatorSystem, regularization: float | None = None,
     need the sample normals to reconstruct mu_j = tau_j N(y_j), and apply
     policy to their negative raw weights.
     """
-    if regularization is not None and regularization < 0:
-        raise ValueError("regularization must be nonnegative")
+    # not (0 <= lam < inf) also refuses nan, which every comparison fails
+    if regularization is not None and not 0.0 <= regularization < np.inf:
+        raise ValueError(f"regularization must be nonnegative and finite, "
+                         f"not {regularization}")
     A, b = system.matrix, system.rhs
     if A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError("system must have at least one row and one column")

@@ -293,6 +293,18 @@ def test_negative_lambda_is_refused(tmp_path, capsys):
     assert not w.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda_is_refused(tmp_path, capsys, value):
+    # nan passes a plain "lambda < 0" check, and both would reach the solve
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", "sphere", "--count", 100, "-o", s])
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
+                "--lambda", value, "-o", w]) == 1
+    err = capsys.readouterr().err
+    assert "regularization must be nonnegative and finite" in err and value in err
+    assert not w.exists()
+
+
 # sample files whose layout the reader refuses: too few columns for an
 # oriented sample, a framed sample without its header, and a frame too narrow
 @pytest.mark.parametrize("pipeline, fixture, text, message", [

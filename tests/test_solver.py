@@ -12,9 +12,9 @@ from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
 from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy,
-                             SystemLayout, _matvec, _tikhonov_solve, assemble_scalar_system,
-                             assemble_vector_system, indicator_values,
-                             integrate_function, solve_weights)
+                             SystemLayout, _matvec, _tikhonov_qr, _tikhonov_solve,
+                             assemble_scalar_system, assemble_vector_system,
+                             indicator_values, integrate_function, solve_weights)
 
 
 def _scalar_system(A, rhs, count=None):
@@ -158,6 +158,57 @@ def test_tikhonov_block_edges_match_normal_equations(shape):
     w = _tikhonov_solve(A, b, 1e-3)
     oracle = normal_equations_solve(A, b, 1e-3)
     assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES)
+def test_tikhonov_block_edges_where_lambda_dominates(shape):
+    # at lam = 1 against singular values O(1) each block's lam rows weigh
+    # as much as M, so lam rows that a block lost, doubled or shifted show
+    rng = np.random.default_rng(2 * shape[0] + shape[1])
+    A = rng.standard_normal(shape) / np.sqrt(shape[1])
+    b = rng.standard_normal(shape[0])
+    w = _tikhonov_solve(A, b, 1.0)
+    oracle = normal_equations_solve(A, b, 1.0)
+    assert np.linalg.norm(w - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
+@pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES)
+def test_tikhonov_qr_factors_the_regularized_gram_matrix(shape, lam):
+    # M = A on the tall path, with c = (Q^T [0; b])[:k], so that
+    # R^T c = [lam I; M]^T [0; b] = M^T b; M = A^T on the wide path
+    rng = np.random.default_rng(5 * shape[0] + shape[1])
+    A = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    tall = shape[0] >= shape[1]
+    M = A if tall else A.T
+    R, c = _tikhonov_qr(M, lam, b if tall else None)
+    k = M.shape[1]
+    assert R.shape == (k, k) and np.array_equal(R, np.triu(R))
+    scale = np.linalg.norm(M, 2) ** 2
+    gram = M.T @ M + lam * lam * np.eye(k)
+    assert np.max(np.abs(R.T @ R - gram)) <= 1e-12 * scale
+    if tall:
+        assert np.max(np.abs(R.T @ c - M.T @ b)) <= 1e-12 * np.sqrt(scale) * np.linalg.norm(b)
+    else:
+        assert c is None
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("shape, lam", [((2 * QR_BLOCK + 5, QR_BLOCK + 3), 1e-3),
+                                        ((QR_BLOCK + 3, 2 * QR_BLOCK + 5), 1e-3),
+                                        ((2 * QR_BLOCK + 5, QR_BLOCK + 3), 0.0)])
+def test_solve_leaves_its_inputs_unchanged(shape, lam, layout):
+    # the in-place LAPACK calls may write only the solve's own work array
+    rng = np.random.default_rng(shape[0] + 3 * shape[1])
+    base = rng.standard_normal((shape[0], 2 * shape[1]))
+    A = {"C": np.ascontiguousarray(base[:, :shape[1]]),
+         "F": np.asfortranarray(base[:, :shape[1]]),
+         "strided": base[:, ::2]}[layout]
+    b = rng.standard_normal(shape[0])
+    before = base.tobytes(), A.tobytes(), b.tobytes()
+    _tikhonov_solve(A, b, lam)
+    assert (base.tobytes(), A.tobytes(), b.tobytes()) == before
 
 
 def _svd_filter_solve(A, b, lam):
