@@ -260,7 +260,7 @@ def cmd_study(args) -> int:
         spec = fixture.spec(args, sample)
         ref = spec.analytic_integrals["const1"]
         eps, built, sol = _solve(row, sample, spec, args, args.seed + i, study=True)
-        integral = row.total(None, sol.tau, built)
+        integral = row.total(np.ones(len(sample)), sol.tau, built)
         rows.append([n, eps or 0.0, sol.diagnostics.regularization, sol.residual_norm,
                      integral, ref, (integral - ref) / abs(ref),
                      time.perf_counter() - start])

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import SelfIntersectionError
-from .geometry import FramedSample, OrientedSample, PointCloud, median_nn_spacing
+from .geometry import (FramedSample, OrientedSample, PointCloud, median_nn_spacing,
+                       require_within)
 
 DEFAULT_EPS_FACTOR = 2.0  # default epsilon = 2 * median nearest-neighbor spacing
 
@@ -26,8 +27,8 @@ class CollarConfig:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("collar epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"collar epsilon must be positive and finite, not {self.epsilon}")
 
 
 def default_epsilon(sample: OrientedSample | FramedSample) -> float:
@@ -44,13 +45,12 @@ class CollarSample:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("collar epsilon must be positive")
+        CollarConfig(self.epsilon)  # the thickness rule
         if len(self.back) != len(self.front):
             raise ValueError("front and back faces must pair up")
         gaps = np.linalg.norm(self.back.points - self.front.points, axis=1)
-        if np.max(np.abs(gaps - self.epsilon)) > 1e-12 * max(1.0, self.epsilon):
-            raise ValueError("back points must sit at distance epsilon from their fronts")
+        require_within(np.abs(gaps - self.epsilon), 1e-12 * max(1.0, self.epsilon),
+                       "back points must sit at distance epsilon from their fronts")
         if not np.array_equal(self.back.normals, -self.front.normals):
             raise ValueError("back normals must be exact negations of front normals")
 

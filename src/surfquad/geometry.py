@@ -23,6 +23,12 @@ FRAME_ORTHO_TOL = 1e-10
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
+def require_within(defect, tol: float, message: str) -> None:
+    """Raise ValueError(message.format(worst=max defect)) unless max defect <= tol; NaN fails."""
+    if not (worst := np.max(defect, initial=0.0)) <= tol:
+        raise ValueError(message.format(worst=worst))
+
+
 def _as_points(points) -> np.ndarray:
     # copy before locking writes so the caller's array is left untouched
     pts = np.array(points, dtype=float)
@@ -71,9 +77,8 @@ class OrientedSample:
         nrm.setflags(write=False)
         if nrm.shape != self.cloud.points.shape:
             raise ValueError("normals must match points in count and dimension")
-        lengths = np.linalg.norm(nrm, axis=1)
-        if np.max(np.abs(lengths - 1.0)) > UNIT_NORMAL_TOL:
-            raise ValueError("normals must have unit length within 1e-12")
+        require_within(np.abs(np.linalg.norm(nrm, axis=1) - 1.0), UNIT_NORMAL_TOL,
+                       "normals must have unit length within 1e-12")
 
     @property
     def points(self) -> np.ndarray:
@@ -107,10 +112,8 @@ class FramedSample:
         r = fr.shape[1]
         if not 1 <= r < self.cloud.dim:
             raise ValueError("codimension must satisfy 1 <= r < ambient dimension")
-        gram = np.einsum("jan,jbn->jab", fr, fr)
-        defect = np.abs(gram - np.eye(r))
-        if np.max(defect) > FRAME_ORTHO_TOL:
-            raise ValueError("normal frames must be orthonormal within 1e-10")
+        require_within(np.abs(np.einsum("jan,jbn->jab", fr, fr) - np.eye(r)), FRAME_ORTHO_TOL,
+                       "normal frames must be orthonormal within 1e-10")
 
     @property
     def codim(self) -> int:
@@ -381,4 +384,6 @@ def interior_queries(spec: SurfaceSpec, count: int, seed: int,
         raise ValueError("count must be at least 1")
     if spec.draw is None:
         raise ValueError("no interior-query rule for this fixture")
+    if epsilon is not None and not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, not {epsilon}")
     return PointCloud(spec.draw(np.random.default_rng(seed), count, margin, epsilon))

@@ -110,20 +110,6 @@ def _cap_queries(sample, spec, count, seed, eps, margin):
             cap_query_points(alpha, count, seed + 1, side="exterior", margin=margin))
 
 
-def _weighted_sum(f, tau, sample) -> float:
-    # f = None integrates 1: the sum of elements that `weights` prints
-    return float(tau.sum()) if f is None else float(np.dot(f, tau))
-
-
-def _half_sum(f, tau, collar: CollarSample) -> float:
-    n = len(collar.front)
-    return integrate_with_boundary(np.ones(n) if f is None else f, tau[:n], tau[n:])
-
-
-def _tube_total(f, tau, tube: TubeSample) -> float:
-    return integrate_codim(np.ones(len(tube.base)) if f is None else f, tau, tube.directions)
-
-
 @dataclass(frozen=True)
 class Pipeline:
     """One construction, from its sample file to its summation rule.
@@ -140,19 +126,25 @@ class Pipeline:
     reads: frozenset = frozenset({"queries"})
     read: Callable = textio.read_oriented           # sample file -> sample
     write: Callable = textio.write_oriented         # (path, sample) -> None
-    epsilon: Callable = lambda sample, epsilon: None  # thickness of the solid, if any
     build: Callable = lambda sample, eps, q_directions: sample  # -> what the solve takes
     weighted: Callable = lambda built: built  # built -> the OrientedSample the weights live on
     # (sample, spec, count, seed, eps, margin) -> queries, where no query file is given
     queries: Callable = _interior
     tag: Callable = lambda built: ""  # built -> weight-file header tags, the eps/q that rebuild it
-    total: Callable = _weighted_sum   # (f at sample points or None for 1, tau, built) -> integral
+    # (f at the sample points, tau, built) -> the integral of f
+    total: Callable = lambda f, tau, built: float(np.dot(f, tau))
     # ambient dim -> the double-layer field the indicator evaluates
     field: Callable = lambda dim: KernelConfig(dim).field
     note: str = ""         # extra `weights` report line, formatted with eps
     # `study` defaults where they differ from `weights`
     study_query_count: int | None = None
     study_margin: float | None = None
+
+    def epsilon(self, sample, epsilon: float | None) -> float | None:
+        """None where the row reads no "epsilon", else epsilon, or default_epsilon(sample)."""
+        if "epsilon" not in self.reads:
+            return None
+        return default_epsilon(sample) if epsilon is None else epsilon
 
 
 PIPELINES = {
@@ -171,18 +163,19 @@ PIPELINES = {
         # one row per front point: thin-shell rows beyond that mostly add
         # near-field noise rather than information
         query_count=lambda s, vector: len(s),
-        epsilon=lambda s, epsilon: default_epsilon(s) if epsilon is None else epsilon,
         build=lambda s, eps, q_directions: build_collar(s, CollarConfig(eps)),
         weighted=lambda collar: collar.outward(),
-        tag=lambda collar: f"collar eps={collar.epsilon:.17g}", total=_half_sum,
+        tag=lambda collar: f"collar eps={collar.epsilon:.17g}",
+        # tau holds the front face's weights, then the back face's
+        total=lambda f, tau, collar: integrate_with_boundary(f, *np.split(tau, 2)),
         note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
     "tube": Pipeline(
         solve=lambda tube, queries, vector, lam: solve_tube(tube, queries, lam),
         reads=frozenset({"queries", "epsilon", "q_directions"}),
         query_count=lambda s, vector: 2 * len(s),
         read=textio.read_framed, write=textio.write_framed,
-        epsilon=lambda s, epsilon: default_epsilon(s) if epsilon is None else epsilon,
-        build=_build_tube, weighted=lambda tube: tube.boundary, total=_tube_total,
+        build=_build_tube, weighted=lambda tube: tube.boundary,
+        total=lambda f, tau, tube: integrate_codim(f, tau, tube.directions),
         tag=lambda tube: (f"tube r={tube.directions.codim} q={tube.directions.count} "
                           f"eps={tube.directions.epsilon:.17g}")),
     # the cap angle of its queries is the sample's; it reads no query file

@@ -13,7 +13,7 @@ that absorbs it, with rhs 1 on interior queries and 0 on exterior ones.
 import numpy as np
 
 from .errors import DegeneratePairError
-from .geometry import OrientedSample, PointCloud, _on_unit_sphere
+from .geometry import OrientedSample, PointCloud, _on_unit_sphere, require_within
 from .solver import IndicatorSystem, SystemLayout, double_layer
 
 TANGENT_TOL = 1e-10
@@ -21,10 +21,8 @@ _PAIR_TOL = 1e-14
 
 
 def _require_on_sphere(points: np.ndarray, what: str) -> None:
-    defect = np.abs(np.linalg.norm(points, axis=-1) - 1.0)
-    if np.any(defect > TANGENT_TOL):
-        raise ValueError(f"{what} off the unit sphere: ||x| - 1| reaches "
-                         f"{np.max(defect):.3g} > {TANGENT_TOL:g}")
+    require_within(np.abs(np.linalg.norm(points, axis=-1) - 1.0), TANGENT_TOL,
+                   what + " off the unit sphere: ||x| - 1| reaches {worst:.3g} > 1e-10")
 
 
 def s2_green_gradient(p, q) -> np.ndarray:
@@ -110,9 +108,8 @@ class ManifoldBoundarySample(OrientedSample):
     def __post_init__(self):
         super().__post_init__()
         _require_on_sphere(self.points, "boundary point")
-        radial = np.abs(np.einsum("jk,jk->j", self.normals, self.points))
-        if np.max(radial) > TANGENT_TOL:
-            raise ValueError("conormals must be tangent to the sphere at their points")
+        require_within(np.abs(np.einsum("jk,jk->j", self.normals, self.points)), TANGENT_TOL,
+                       "conormals must be tangent to the sphere at their points")
 
     @property
     def conormals(self) -> np.ndarray:
@@ -154,6 +151,8 @@ def cap_query_points(alpha: float, count: int, seed: int, side: str = "interior"
     if count < 1:
         raise ValueError("count must be at least 1")
     m = 0.2 * alpha if margin is None else margin
+    if not m > 0.0:
+        raise ValueError(f"margin must be positive, not {m}")
     rng = np.random.default_rng(seed)
     if side == "interior":
         if m >= alpha:
@@ -175,10 +174,6 @@ def continuous_cap_indicator(p, alpha: float, quadrature_count: int) -> float:
     The integrand is 2 pi periodic in azimuth, so the uniform rule converges
     spectrally in quadrature_count.
     """
-    if not 0.0 < alpha < np.pi:
-        raise ValueError("cap angle must lie in (0, pi)")
-    if quadrature_count < 1:
-        raise ValueError("quadrature_count must be positive")
     nodes = cap_boundary_sample(alpha, quadrature_count)
     p = np.asarray(p, dtype=float).reshape(1, 3)
     row = double_layer(SphereModel().field, p, nodes.points, nodes.conormals)[0]

@@ -113,17 +113,18 @@ class IndicatorSystem:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """What a solve did; removed_mass is sum |raw| over negative raw scalar weights.
-
-    path names the factorization: "tall-qr" (rows >= cols) or "wide-qr".
-    """
+    """What a solve did; removed_mass is sum |raw| over negative raw scalar weights."""
 
     rows: int
     cols: int
     regularization: float
     negative_count: int
     removed_mass: float = 0.0
-    path: str = ""
+
+    @property
+    def path(self) -> str:
+        """The factorization that _tikhonov_solve picks for this shape."""
+        return "tall-qr" if self.rows >= self.cols else "wide-qr"
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,8 @@ class WeightSolution:
     offset: float | None = None
 
     def __post_init__(self):
-        if np.any(self.tau < 0):
+        # not all(tau >= 0) also refuses nan, which every comparison fails
+        if not np.all(self.tau >= 0):
             raise ValueError("tau must be nonnegative")
 
 
@@ -331,8 +333,7 @@ def solve_weights(system: IndicatorSystem, regularization: float | None = None,
         mu = tau[:, None] * normals
 
     diag = SolveDiagnostics(rows=A.shape[0], cols=A.shape[1], regularization=lam,
-                            negative_count=negative, removed_mass=removed,
-                            path="tall-qr" if A.shape[0] >= A.shape[1] else "wide-qr")
+                            negative_count=negative, removed_mass=removed)
     return WeightSolution(mu=mu, tau=tau, residual_norm=residual,
                           diagnostics=diag, offset=offset)
 

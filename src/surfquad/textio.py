@@ -145,6 +145,11 @@ def read_weights(path) -> WeightRecord:
     if data.shape[1] != 2 * dim + 1:
         raise ValueError(f"{path}: expected {2 * dim + 1} columns (point, normal, tau)")
     offset = float(meta["offset"]) if "offset" in meta else None
-    return WeightRecord(points=data[:, :dim], normals=data[:, dim:-1],
-                        tau=data[:, -1], offset=offset,
-                        meta=meta, flags=frozenset(flags))
+    record = WeightRecord(points=data[:, :dim], normals=data[:, dim:-1],
+                          tau=data[:, -1], offset=offset,
+                          meta=meta, flags=frozenset(flags))
+    for block in ("points", "normals", "tau", "offset"):
+        value = getattr(record, block)
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{path}: the {block} block holds a non-finite value")
+    return record

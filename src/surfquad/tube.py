@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .errors import SelfIntersectionError
 from .geometry import (FramedSample, OrientedSample, PointCloud, gen_fibonacci_sphere,
-                       gen_sphere_nd)
+                       gen_sphere_nd, require_within)
 from .kernel import unit_sphere_measure
 
 
@@ -44,9 +44,8 @@ class SphereDirections:
         q, r = dirs.shape
         if q < r + 1:
             raise ValueError("need at least r + 1 directions to span the normal sphere")
-        lengths = np.linalg.norm(dirs, axis=1)
-        if np.max(np.abs(lengths - self.epsilon)) > 1e-12 * max(1.0, self.epsilon):
-            raise ValueError("every direction must have length epsilon")
+        require_within(np.abs(np.linalg.norm(dirs, axis=1) - self.epsilon),
+                       1e-12 * max(1.0, self.epsilon), "every direction must have length epsilon")
 
     @property
     def codim(self) -> int:
@@ -66,12 +65,10 @@ def sample_normal_sphere(r: int, q: int, eps: float) -> SphereDirections:
     """
     if r < 1:
         raise ValueError("codimension must be at least 1")
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, not {eps}")
     if r == 1:
         return SphereDirections(np.array([[eps], [-eps]]), eps)
-    if q < r + 1:
-        raise ValueError("need at least r + 1 directions")
     if r == 2:
         phi = 2.0 * np.pi * np.arange(q) / q
         dirs = np.column_stack([np.cos(phi), np.sin(phi)])
@@ -86,8 +83,8 @@ def tube_sphere_measure(r: int, eps: float) -> float:
     """Measure s_r of the radius-eps sphere in R^r (counting measure 2 for r = 1)."""
     if r < 1:
         raise ValueError("codimension must be at least 1")
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, not {eps}")
     if r == 1:
         return 2.0
     return unit_sphere_measure(r) * eps ** (r - 1)
@@ -111,8 +108,8 @@ class TubeSample:
             raise ValueError("boundary must hold q points per base point")
         gaps = np.linalg.norm(self.boundary.points
                               - np.repeat(self.base.points, q, axis=0), axis=1)
-        if np.max(np.abs(gaps - eps)) > 1e-11 * max(1.0, eps):
-            raise ValueError("tube points must sit at distance epsilon from their bases")
+        require_within(np.abs(gaps - eps), 1e-11 * max(1.0, eps),
+                       "tube points must sit at distance epsilon from their bases")
 
     def __len__(self) -> int:
         return len(self.boundary)

@@ -105,6 +105,16 @@ def test_weights_s2_cap_honours_margin(tmp_path):
     assert np.array_equal(textio.read_weights(w_margin).tau, sol.tau)
 
 
+@pytest.mark.parametrize("margin", [0, -0.3, np.nan])
+def test_s2_cap_margin_that_is_not_positive_is_refused(tmp_path, capsys, margin):
+    s, w = tmp_path / "cap.txt", tmp_path / "w.txt"
+    run(["generate", "--fixture", "s2-cap", "--count", 200, "-o", s])
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--margin", margin,
+                "-o", w]) == 1
+    assert "margin must be positive" in capsys.readouterr().err
+    assert not w.exists()
+
+
 def test_s2_cap_sample_file_round_trips(tmp_path):
     from surfquad.pipelines import PIPELINES as _PIPELINES
     from surfquad.riemannian import ManifoldBoundarySample, cap_boundary_sample
@@ -337,6 +347,40 @@ def test_zero_flag_is_refused_not_defaulted(tmp_path, capsys, pipeline, fixture,
     assert not w.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("pipeline, fixture", [("collar", "hemisphere"), ("tube", "circle-r3")])
+def test_non_finite_epsilon_is_refused(tmp_path, capsys, pipeline, fixture, value):
+    s, w, s2, q = tmp_path / "s.txt", tmp_path / "w.txt", tmp_path / "s2.txt", tmp_path / "q.txt"
+    run(["generate", "--fixture", fixture, "--count", 100, "-o", s])
+    capsys.readouterr()
+    assert run(["weights", "--pipeline", pipeline, "--sample", s, "--fixture", fixture,
+                "--epsilon", value, "-o", w]) == 1
+    assert "epsilon must be positive" in capsys.readouterr().err
+    # the query draw of generate takes the same thickness, before any file is written
+    assert run(["generate", "--fixture", fixture, "--count", 100, "-o", s2, "--queries", q,
+                "--epsilon", value, "--margin", 0.01]) == 1
+    assert "epsilon must be positive" in capsys.readouterr().err
+    assert not w.exists() and not s2.exists() and not q.exists()
+
+
+def test_nan_normal_is_refused_before_assembly(tmp_path, monkeypatch, capsys):
+    from surfquad import solver
+
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    sample = gen_fibonacci_sphere(100)
+    normals = sample.normals.copy()
+    normals[7, 0] = np.nan
+    np.savetxt(s, np.hstack([sample.points, normals]), header="dim=3 codim=1")
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the sample reached kernel assembly")
+
+    monkeypatch.setattr(solver, "double_layer", no_assembly)
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "-o", w]) == 1
+    assert "normals must have unit length" in capsys.readouterr().err
+    assert not w.exists()
+
+
 def test_generate_zero_query_count_is_refused(tmp_path, capsys):
     s, q = tmp_path / "s.txt", tmp_path / "q.txt"
     assert run(["generate", "--fixture", "sphere", "--count", 100, "-o", s,
@@ -544,6 +588,22 @@ def test_integrate_rejects_weights_without_normals(tmp_path, capsys):
     capsys.readouterr()
     assert run(["integrate", "--sample", c, "--weights", w]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_weight_file_with_a_nan_tau_is_not_summed(tmp_path, capsys):
+    s, w, q, out = (tmp_path / "s.txt", tmp_path / "w.txt",
+                    tmp_path / "q.txt", tmp_path / "chi.csv")
+    run(["generate", "--fixture", "sphere", "--count", 200, "-o", s, "--queries", q])
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--queries", q, "-o", w]) == 0
+    lines = w.read_text().splitlines()
+    lines[5] = lines[5].rsplit(" ", 1)[0] + " nan"
+    w.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere"]) == 1
+    assert "the tau block holds a non-finite value" in capsys.readouterr().err
+    assert run(["indicator", "--weights", w, "--queries", q, "-o", out]) == 1
+    assert "the tau block holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_indicator_csv(tmp_path):

@@ -41,6 +41,12 @@ def test_zero_epsilon_rejected():
         CollarConfig(0.0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_non_finite_epsilon_rejected(eps):
+    with pytest.raises(ValueError, match="collar epsilon must be positive and finite"):
+        CollarConfig(eps)
+
+
 def test_default_epsilon_is_twice_spacing():
     hemi = gen_hemisphere(400)
     assert default_epsilon(hemi) == pytest.approx(2.0 * median_nn_spacing(hemi.cloud))

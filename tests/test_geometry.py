@@ -2,20 +2,25 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import surfquad
+from surfquad.collar import CollarConfig, CollarSample, build_collar
 from surfquad.geometry import (FramedSample, OrientedSample, PointCloud,
                                circle_r3_spec, ellipsoid_spec, evaluate_integrand,
                                gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere,
                                gen_hemisphere, gen_sphere_nd, hemisphere_spec,
-                               interior_queries, median_nn_spacing, s2_cap_spec,
-                               sphere_spec)
+                               interior_queries, median_nn_spacing, require_within,
+                               s2_cap_spec, sphere_spec)
+from surfquad.riemannian import ManifoldBoundarySample, s2_green_gradient
+from surfquad.tube import SphereDirections, TubeSample, build_tube, sample_normal_sphere
 
 
 def test_point_cloud_rejects_duplicates():
@@ -39,6 +44,54 @@ def test_framed_sample_rejects_skew_frames():
     frames = np.array([[[1.0, 0, 0], [0.6, 0.8, 0]]])  # not orthogonal
     with pytest.raises(ValueError):
         FramedSample(PointCloud(pts), frames)
+
+
+def test_require_within_names_the_worst_defect_and_refuses_nan():
+    require_within(np.array([0.0, 1e-3]), 1e-3, "unused {worst}")
+    require_within(np.empty(0), 0.0, "an empty defect passes")
+    with pytest.raises(ValueError, match=r"^worst 0\.5 > 0\.1$"):
+        require_within(np.array([0.2, 0.5]), 0.1, "worst {worst:g} > 0.1")
+    with pytest.raises(ValueError, match="worst nan"):
+        require_within(np.array([0.0, np.nan]), 0.1, "worst {worst}")
+
+
+def _collar_of_thickness(eps):
+    collar = build_collar(gen_hemisphere(20), CollarConfig(0.1))
+    return CollarSample(collar.front, collar.back, eps)
+
+
+def _tube_of_thickness(eps):
+    tube = build_tube(gen_circle_r3(12), sample_normal_sphere(2, 8, 0.1))
+    # a stand-in direction sphere, since SphereDirections refuses a nan epsilon
+    return TubeSample(tube.base, SimpleNamespace(count=8, epsilon=eps), tube.boundary)
+
+
+# each tolerance check, handed a nan where it measures its defect
+NAN_DEFECTS = {
+    "unit-normals": (lambda: OrientedSample(PointCloud([[1.0, 0, 0]]), [[np.nan, 0, 0]]),
+                     "normals must have unit length"),
+    "orthonormal-frames": (lambda: FramedSample(PointCloud([[1.0, 0, 0]]),
+                                                [[[0, 1.0, 0], [0, 0, np.nan]]]),
+                           "normal frames must be orthonormal"),
+    "on-the-sphere": (lambda: s2_green_gradient([0, 0, np.nan], [1.0, 0, 0]),
+                      "query point off the unit sphere: ||x| - 1| reaches nan"),
+    # a nan conormal meets the unit-length check of OrientedSample first
+    "tangent-conormals": (lambda: ManifoldBoundarySample(PointCloud([[1.0, 0, 0]]),
+                                                         [[0, np.nan, 0]]),
+                          "normals must have unit length"),
+    # a nan thickness meets the rule of CollarConfig first
+    "collar-gaps": (lambda: _collar_of_thickness(np.nan), "collar epsilon must be positive"),
+    "direction-lengths": (lambda: SphereDirections([[0.1, 0], [-0.1, 0], [0, 0.1]], np.nan),
+                          "every direction must have length epsilon"),
+    "tube-gaps": (lambda: _tube_of_thickness(np.nan),
+                  "tube points must sit at distance epsilon from their bases"),
+}
+
+
+@pytest.mark.parametrize("make, message", NAN_DEFECTS.values(), ids=NAN_DEFECTS)
+def test_tolerance_checks_refuse_a_nan_defect(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 # --- gen_fibonacci_sphere ----------------------------------------------------
@@ -333,6 +386,13 @@ def test_queries_without_interior_rejected():
         interior_queries(s2_cap_spec(np.pi / 3), 10, seed=0)  # cap_query_points draws these
     with pytest.raises(ValueError):
         interior_queries(circle_r3_spec(), 10, seed=0)  # no tube epsilon
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+@pytest.mark.parametrize("spec", [hemisphere_spec(), circle_r3_spec()], ids=["collar", "tube"])
+def test_interior_queries_refuse_a_non_finite_epsilon(spec, eps):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        interior_queries(spec, 10, seed=0, margin=0.01, epsilon=eps)
 
 
 def test_median_spacing_requires_two_points():

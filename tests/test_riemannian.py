@@ -118,6 +118,20 @@ def test_cap_query_sides():
     assert np.min(te) >= 1.2 * alpha - 1e-12
 
 
+@pytest.mark.parametrize("side", ["interior", "exterior"])
+@pytest.mark.parametrize("margin", [0.0, -0.3, np.nan])
+def test_cap_query_margin_must_be_positive(side, margin):
+    # a negative margin would put the queries on the other side of the boundary
+    with pytest.raises(ValueError, match="margin must be positive"):
+        cap_query_points(np.pi / 3, 20, seed=1, side=side, margin=margin)
+
+
+@pytest.mark.parametrize("side, margin", [("interior", np.pi / 3), ("exterior", 2 * np.pi / 3)])
+def test_cap_query_margin_leaves_no_side(side, margin):
+    with pytest.raises(ValueError, match=f"margin leaves no {side}"):
+        cap_query_points(np.pi / 3, 20, seed=1, side=side, margin=margin)
+
+
 # --- continuous indicator ------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3])

@@ -47,6 +47,22 @@ def test_weights_round_trip_with_offset(tmp_path):
     assert rec.offset == 0.25
 
 
+@pytest.mark.parametrize("block, value", [("points", np.inf), ("normals", np.nan),
+                                          ("tau", np.nan), ("offset", -np.inf)])
+def test_weights_with_a_non_finite_value_rejected(tmp_path, block, value):
+    sample = gen_fibonacci_sphere(9)
+    arrays = {"points": sample.points.copy(), "normals": sample.normals.copy(),
+              "tau": np.full(9, 0.5), "offset": 0.25}
+    if block == "offset":
+        arrays["offset"] = value
+    else:
+        arrays[block][4] = value
+    path = tmp_path / "weights.txt"
+    textio.write_weights(path, **arrays)
+    with pytest.raises(ValueError, match=f"weights.txt: the {block} block holds a non-finite"):
+        textio.read_weights(path)
+
+
 def test_weights_without_normals(tmp_path):
     # every weight file carries normals: point, normal, tau
     pts = np.random.default_rng(1).standard_normal((5, 3))

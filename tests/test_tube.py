@@ -62,6 +62,14 @@ def test_tube_sphere_measure_rejects_bad_eps():
         tube_sphere_measure(2, 0.0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_non_finite_eps_rejected(eps):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        sample_normal_sphere(2, 8, eps)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        tube_sphere_measure(2, eps)
+
+
 # --- build_tube ----------------------------------------------------------------
 
 def test_build_tube_circle_points_and_normals():
