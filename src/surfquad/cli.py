@@ -195,8 +195,8 @@ def cmd_weights(args) -> int:
     print(f"removed mass:    {sol.diagnostics.removed_mass:.6g} (sum of |negative raw|)")
     if sol.offset is not None:
         print(f"offset c:        {sol.offset:.8g}")
-    if row.note:
-        print(row.note.format(eps=eps))
+    if eps is not None:
+        print(f"epsilon:         {eps:.6g}")
     return 0
 
 

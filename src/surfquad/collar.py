@@ -10,14 +10,13 @@ boundary is deliberately left unsampled; its area eps * length(boundary) is
 reported as an expected defect.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import SelfIntersectionError
-from .geometry import (FramedSample, OrientedSample, PointCloud, median_nn_spacing,
-                       require_within)
+from .geometry import FramedSample, OrientedSample, PointCloud, median_nn_spacing
 
 DEFAULT_EPS_FACTOR = 2.0  # default epsilon = 2 * median nearest-neighbor spacing
 
@@ -38,21 +37,28 @@ def default_epsilon(sample: OrientedSample | FramedSample) -> float:
 
 @dataclass(frozen=True)
 class CollarSample:
-    """Front/back faces of the collar solid built from one oriented sample."""
+    """Front/back faces of the collar solid of thickness epsilon over one oriented sample.
+
+    The back face, points y + eps N(y) with normals -N, is built from the two inputs.
+    """
 
     front: OrientedSample
-    back: OrientedSample
     epsilon: float
+    back: OrientedSample = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         CollarConfig(self.epsilon)  # the thickness rule
-        if len(self.back) != len(self.front):
-            raise ValueError("front and back faces must pair up")
-        gaps = np.linalg.norm(self.back.points - self.front.points, axis=1)
-        require_within(np.abs(gaps - self.epsilon), 1e-12 * max(1.0, self.epsilon),
-                       "back points must sit at distance epsilon from their fronts")
-        if not np.array_equal(self.back.normals, -self.front.normals):
-            raise ValueError("back normals must be exact negations of front normals")
+        sample, eps = self.front, self.epsilon
+        back_pts = sample.points + eps * sample.normals
+        near, _ = cKDTree(sample.points).query(back_pts, k=1)
+        collision = np.min(near) <= 1e-9 * eps
+        if not collision and len(sample) > 1:
+            pair, _ = cKDTree(back_pts).query(back_pts, k=2)
+            collision = np.min(pair[:, 1]) <= 1e-9 * eps
+        if collision:
+            raise SelfIntersectionError(
+                "offset points collide; epsilon exceeds the local feature size")
+        object.__setattr__(self, "back", OrientedSample(PointCloud(back_pts), -sample.normals))
 
     def __len__(self) -> int:
         return 2 * len(self.front)
@@ -65,18 +71,7 @@ class CollarSample:
 
 def build_collar(sample: OrientedSample, config: CollarConfig) -> CollarSample:
     """Duplicate the sample across the collar: back points y + eps N(y), normals -N."""
-    eps = config.epsilon
-    back_pts = sample.points + eps * sample.normals
-    near, _ = cKDTree(sample.points).query(back_pts, k=1)
-    collision = np.min(near) <= 1e-9 * eps
-    if not collision and len(sample) > 1:
-        pair, _ = cKDTree(back_pts).query(back_pts, k=2)
-        collision = np.min(pair[:, 1]) <= 1e-9 * eps
-    if collision:
-        raise SelfIntersectionError(
-            "offset points collide; epsilon exceeds the local feature size")
-    back = OrientedSample(PointCloud(back_pts), -sample.normals)
-    return CollarSample(front=sample, back=back, epsilon=eps)
+    return CollarSample(sample, config.epsilon)
 
 
 def strip_defect_area(collar: CollarSample, boundary_length: float) -> float:

@@ -146,8 +146,8 @@ class SurfaceSpec:
     draw: Callable | None = None
 
     def __post_init__(self):
-        if self.analytic_area <= 0:
-            raise ValueError("analytic_area must be positive")
+        if not 0.0 < self.analytic_area < np.inf:
+            raise ValueError(f"analytic_area must be positive and finite, not {self.analytic_area}")
 
     @property
     def analytic_area(self) -> float:
@@ -203,10 +203,14 @@ def sphere_spec(n: int = 3) -> SurfaceSpec:
     return SurfaceSpec(ints, partial(_ellipsoid_draw, (1.0,) * n))
 
 
+def _require_semi_axes(a: float, b: float, c: float) -> None:
+    if not all(0.0 < x < np.inf for x in (a, b, c)):
+        raise ValueError(f"semi-axes must be positive and finite, not a={a:g} b={b:g} c={c:g}")
+
+
 def ellipsoid_spec(a: float, b: float, c: float) -> SurfaceSpec:
     """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1; area by DLMF 19.33.1."""
-    if min(a, b, c) <= 0:
-        raise ValueError("semi-axes must be positive")
+    _require_semi_axes(a, b, c)
     area = float(4.0 * np.pi * a * b * c * elliprg(a ** -2, b ** -2, c ** -2))
     ints = {"const1": area, "x": 0.0, "y": 0.0, "z": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
     return SurfaceSpec(ints, partial(_ellipsoid_draw, (a, b, c)))
@@ -279,8 +283,7 @@ def gen_sphere_nd(count: int, n: int, seed: int) -> OrientedSample:
 
 def gen_ellipsoid(a: float, b: float, c: float, count: int, seed: int) -> OrientedSample:
     """Seeded sample of the ellipsoid surface with exact gradient normals."""
-    if min(a, b, c) <= 0:
-        raise ValueError("semi-axes must be positive")
+    _require_semi_axes(a, b, c)
     sphere = gen_sphere_nd(count, 3, seed)
     pts = sphere.points * np.array([a, b, c])
     grad = pts / np.array([a * a, b * b, c * c])

@@ -135,7 +135,6 @@ class Pipeline:
     total: Callable = lambda f, tau, built: float(np.dot(f, tau))
     # ambient dim -> the double-layer field the indicator evaluates
     field: Callable = lambda dim: KernelConfig(dim).field
-    note: str = ""         # extra `weights` report line, formatted with eps
     # `study` defaults where they differ from `weights`
     study_query_count: int | None = None
     study_margin: float | None = None
@@ -167,8 +166,7 @@ PIPELINES = {
         weighted=lambda collar: collar.outward(),
         tag=lambda collar: f"collar eps={collar.epsilon:.17g}",
         # tau holds the front face's weights, then the back face's
-        total=lambda f, tau, collar: integrate_with_boundary(f, *np.split(tau, 2)),
-        note="collar epsilon:  {eps:.6g} (side-strip defect area ~ eps * boundary length)"),
+        total=lambda f, tau, collar: integrate_with_boundary(f, *np.split(tau, 2))),
     "tube": Pipeline(
         solve=lambda tube, queries, vector, lam: solve_tube(tube, queries, lam),
         reads=frozenset({"queries", "epsilon", "q_directions"}),

@@ -74,6 +74,9 @@ class SphereModel:
         pins this rounding.
         """
         P, Q, V = (np.asarray(a, dtype=float) for a in (queries, points, vectors))
+        if P.shape[-1] != 3 or Q.shape[-1] != 3:
+            raise ValueError(f"S^2 points need 3 coordinates, not {P.shape[-1]} "
+                             f"(queries) and {Q.shape[-1]} (sample)")
         _require_on_sphere(P, "query point")
         _require_on_sphere(Q, "sample point")
         c, pv, num, rows = work[0], work[1], work[2], work[-1]
@@ -101,12 +104,15 @@ class SphereModel:
 class ManifoldBoundarySample(OrientedSample):
     """Boundary points q_j with outward unit conormals, stored as the normals.
 
-    Adds to OrientedSample's checks: the points lie on the unit sphere and
-    the conormals are tangent to it there, both within TANGENT_TOL.
+    Adds to OrientedSample's checks: the points have 3 coordinates and lie on
+    the unit sphere, and the conormals are tangent to it there, both within
+    TANGENT_TOL.
     """
 
     def __post_init__(self):
         super().__post_init__()
+        if self.dim != 3:
+            raise ValueError(f"S^2 boundary points need 3 coordinates, not {self.dim}")
         _require_on_sphere(self.points, "boundary point")
         require_within(np.abs(np.einsum("jk,jk->j", self.normals, self.points)), TANGENT_TOL,
                        "conormals must be tangent to the sphere at their points")

@@ -17,7 +17,7 @@ Below it the indicator is not resolved at the queries, no weights fit the
 rows, and the clamped solve warns (ClampedMassWarning).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -94,22 +94,29 @@ def tube_sphere_measure(r: int, eps: float) -> float:
 class TubeSample:
     """Boundary sample of the eps-tube around a framed base sample.
 
-    Tube points are grouped base-point-major: entry j*q + i is direction i
-    applied at base point j.
+    The boundary is built from the two inputs: every base point fans out
+    along the direction sphere through its frame. Tube points are grouped
+    base-point-major: entry j*q + i is direction i applied at base point j.
     """
 
     base: FramedSample
     directions: SphereDirections
-    boundary: OrientedSample
+    boundary: OrientedSample = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q, eps = self.directions.count, self.directions.epsilon
-        if len(self.boundary) != q * len(self.base):
-            raise ValueError("boundary must hold q points per base point")
-        gaps = np.linalg.norm(self.boundary.points
-                              - np.repeat(self.base.points, q, axis=0), axis=1)
-        require_within(np.abs(gaps - eps), 1e-11 * max(1.0, eps),
-                       "tube points must sit at distance epsilon from their bases")
+        base, directions = self.base, self.directions
+        if base.codim != directions.codim:
+            raise ValueError("base codimension must match the direction sphere")
+        a = directions.directions
+        # points[j, i] = y_j + sum_k a[i, k] frames[j, k]
+        offsets = np.einsum("ik,jkn->jin", a, base.frames)
+        pts = (base.points[:, None, :] + offsets).reshape(-1, base.dim)
+        normals = (offsets / directions.epsilon).reshape(-1, base.dim)
+        dists, _ = cKDTree(pts).query(pts, k=2)
+        if np.min(dists[:, 1]) <= 1e-8 * directions.epsilon:
+            raise SelfIntersectionError(
+                "tube boundary points coincide; epsilon exceeds the reach of the base manifold")
+        object.__setattr__(self, "boundary", OrientedSample(PointCloud(pts), normals))
 
     def __len__(self) -> int:
         return len(self.boundary)
@@ -117,19 +124,7 @@ class TubeSample:
 
 def build_tube(base: FramedSample, directions: SphereDirections) -> TubeSample:
     """Fan every base point out along the direction sphere through its frame."""
-    if base.codim != directions.codim:
-        raise ValueError("base codimension must match the direction sphere")
-    a = directions.directions
-    # points[j, i] = y_j + sum_k a[i, k] frames[j, k]
-    offsets = np.einsum("ik,jkn->jin", a, base.frames)
-    pts = (base.points[:, None, :] + offsets).reshape(-1, base.dim)
-    normals = (offsets / directions.epsilon).reshape(-1, base.dim)
-    dists, _ = cKDTree(pts).query(pts, k=2)
-    if np.min(dists[:, 1]) <= 1e-8 * directions.epsilon:
-        raise SelfIntersectionError(
-            "tube boundary points coincide; epsilon exceeds the reach of the base manifold")
-    boundary = OrientedSample(PointCloud(pts), normals)
-    return TubeSample(base=base, directions=directions, boundary=boundary)
+    return TubeSample(base, directions)
 
 
 def integrate_codim(f_values: np.ndarray, tau: np.ndarray,

@@ -11,6 +11,16 @@ def lane_rows(count):
     return max(1, CHUNK_ENTRIES // (LANES * count))
 
 
+def s3_boundary(count, seed):
+    """Points on S^3 in R^4 with unit conormals tangent there: a cap sample one dimension up."""
+    from surfquad.geometry import gen_sphere_nd
+
+    points = gen_sphere_nd(count, 4, seed).points
+    raw = np.random.default_rng(seed + 1).standard_normal(points.shape)
+    raw -= np.einsum("jk,jk->j", raw, points)[:, None] * points
+    return points, raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
 def normal_equations_solve(A, b, lam):
     """Independent Tikhonov oracle: dense elimination on (A^T A + lam^2 I) w = A^T b."""
     A = np.asarray(A, dtype=float)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import s3_boundary
 from surfquad import textio
 from surfquad.errors import ClampedMassWarning
 from surfquad.geometry import (FramedSample, OrientedSample, PointCloud, circle_r3_spec,
@@ -70,6 +71,24 @@ def test_weights_collar_doubles_rows(tmp_path):
     rec = textio.read_weights(w)
     assert len(rec.tau) == 600
     assert "eps" in rec.meta and "collar" in rec.flags
+
+
+@pytest.mark.parametrize("pipeline, fixture, count", [
+    ("collar", "hemisphere", 300), ("tube", "circle-r3", 80),
+    ("closed", "sphere", 200), ("s2-cap", "s2-cap", 100)])
+def test_weights_prints_the_epsilon_its_file_records(tmp_path, capsys, pipeline, fixture,
+                                                     count):
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    assert run(["generate", "--fixture", fixture, "--count", count, "-o", s]) == 0
+    with warnings.catch_warnings():
+        # collar flips are not under test here
+        warnings.simplefilter("ignore", ClampedMassWarning)
+        assert run(["weights", "--pipeline", pipeline, "--sample", s, "--fixture", fixture,
+                    "-o", w]) == 0
+    printed = re.findall(r"^epsilon: +(\S+)$", capsys.readouterr().out, re.M)
+    eps = textio.read_weights(w).meta.get("eps")
+    assert printed == ([] if eps is None else [f"{float(eps):.6g}"])
+    assert (eps is None) == (pipeline in ("closed", "s2-cap"))
 
 
 def test_weights_s2_cap_reports_offset(tmp_path, capsys):
@@ -421,6 +440,26 @@ def test_indicator_rejects_queries_off_the_sphere(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_indicator_refuses_cap_weights_outside_r3(tmp_path, capsys):
+    w, q, out = tmp_path / "w.txt", tmp_path / "q.txt", tmp_path / "chi.csv"
+    points, conormals = s3_boundary(120, 4)
+    textio.write_weights(w, points, np.full(120, 0.05), normals=conormals, offset=0.1,
+                         extra="manifold=s2")
+    textio.write_cloud(q, PointCloud(s3_boundary(5, 8)[0]))
+    assert run(["indicator", "--weights", w, "--queries", q, "-o", out]) == 1
+    assert "S^2 points need 3 coordinates, not 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_s2_cap_sample_outside_r3_is_refused(tmp_path, capsys):
+    s, w = tmp_path / "cap.txt", tmp_path / "w.txt"
+    points, conormals = s3_boundary(120, 4)
+    textio.write_oriented(s, OrientedSample(PointCloud(points), conormals), extra="manifold=s2")
+    assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "-o", w]) == 1
+    assert "S^2 boundary points need 3 coordinates, not 4" in capsys.readouterr().err
+    assert not w.exists()
+
+
 def test_sphere_nd_fixture_lives_in_rn(tmp_path, capsys):
     s, q, w = tmp_path / "s.txt", tmp_path / "q.txt", tmp_path / "w.txt"
     assert run(["generate", "--fixture", "sphere-nd", "--dim", 4, "--count", 400,
@@ -458,6 +497,14 @@ def test_ellipsoid_fixture_refuses_a_sample_off_its_axes(tmp_path, capsys):
     assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "ellipsoid",
                 *axes]) == 0
     assert "reference = " in capsys.readouterr().out
+
+
+def test_generate_refuses_a_nan_semi_axis(tmp_path, capsys):
+    out = tmp_path / "e.txt"
+    assert run(["generate", "--fixture", "ellipsoid", "--b", "nan", "--count", 50,
+                "-o", out]) == 1
+    assert "semi-axes must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integrate_sphere_reference(tmp_path, capsys):

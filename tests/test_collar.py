@@ -70,16 +70,28 @@ def test_back_face_fold_detected():
         build_collar(sample, CollarConfig(0.1))
 
 
-def test_collar_sample_invariants_enforced():
-    front = _single_point_sample()
-    good_back = OrientedSample(PointCloud(np.array([[0.0, 0.0, 1.1]])),
-                               np.array([[0.0, 0.0, -1.0]]))
-    CollarSample(front=front, back=good_back, epsilon=0.1)
-    with pytest.raises(ValueError):
-        CollarSample(front=front, back=good_back, epsilon=0.2)  # gap mismatch
-    flipped = OrientedSample(good_back.cloud, np.array([[0.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        CollarSample(front=front, back=flipped, epsilon=0.1)  # not negated
+def test_collar_sample_builds_its_back_face():
+    front = gen_hemisphere(200)
+    collar = CollarSample(front, 0.07)
+    assert np.array_equal(collar.back.points, front.points + 0.07 * front.normals)
+    assert np.array_equal(collar.back.normals, -front.normals)
+    assert np.array_equal(build_collar(front, CollarConfig(0.07)).back.points,
+                          collar.back.points)
+    with pytest.raises(TypeError):  # the back face is no input
+        CollarSample(front=front, back=collar.back, epsilon=0.07)
+
+
+def test_collar_sample_refuses_colliding_offsets():
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.1]])
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SelfIntersectionError, match="offset points collide"):
+        CollarSample(OrientedSample(PointCloud(pts), normals), 0.1)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1])
+def test_collar_sample_refuses_a_thickness_outside_the_rule(eps):
+    with pytest.raises(ValueError, match="collar epsilon must be positive and finite"):
+        CollarSample(_single_point_sample(), eps)
 
 
 def test_outward_orientation_flips_stored_normals():

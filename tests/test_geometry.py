@@ -6,21 +6,19 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import surfquad
-from surfquad.collar import CollarConfig, CollarSample, build_collar
-from surfquad.geometry import (FramedSample, OrientedSample, PointCloud,
+from surfquad.geometry import (FramedSample, OrientedSample, PointCloud, SurfaceSpec,
                                circle_r3_spec, ellipsoid_spec, evaluate_integrand,
                                gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere,
                                gen_hemisphere, gen_sphere_nd, hemisphere_spec,
                                interior_queries, median_nn_spacing, require_within,
                                s2_cap_spec, sphere_spec)
 from surfquad.riemannian import ManifoldBoundarySample, s2_green_gradient
-from surfquad.tube import SphereDirections, TubeSample, build_tube, sample_normal_sphere
+from surfquad.tube import SphereDirections
 
 
 def test_point_cloud_rejects_duplicates():
@@ -55,17 +53,6 @@ def test_require_within_names_the_worst_defect_and_refuses_nan():
         require_within(np.array([0.0, np.nan]), 0.1, "worst {worst}")
 
 
-def _collar_of_thickness(eps):
-    collar = build_collar(gen_hemisphere(20), CollarConfig(0.1))
-    return CollarSample(collar.front, collar.back, eps)
-
-
-def _tube_of_thickness(eps):
-    tube = build_tube(gen_circle_r3(12), sample_normal_sphere(2, 8, 0.1))
-    # a stand-in direction sphere, since SphereDirections refuses a nan epsilon
-    return TubeSample(tube.base, SimpleNamespace(count=8, epsilon=eps), tube.boundary)
-
-
 # each tolerance check, handed a nan where it measures its defect
 NAN_DEFECTS = {
     "unit-normals": (lambda: OrientedSample(PointCloud([[1.0, 0, 0]]), [[np.nan, 0, 0]]),
@@ -79,12 +66,8 @@ NAN_DEFECTS = {
     "tangent-conormals": (lambda: ManifoldBoundarySample(PointCloud([[1.0, 0, 0]]),
                                                          [[0, np.nan, 0]]),
                           "normals must have unit length"),
-    # a nan thickness meets the rule of CollarConfig first
-    "collar-gaps": (lambda: _collar_of_thickness(np.nan), "collar epsilon must be positive"),
     "direction-lengths": (lambda: SphereDirections([[0.1, 0], [-0.1, 0], [0, 0.1]], np.nan),
                           "every direction must have length epsilon"),
-    "tube-gaps": (lambda: _tube_of_thickness(np.nan),
-                  "tube points must sit at distance epsilon from their bases"),
 }
 
 
@@ -187,6 +170,23 @@ def test_ellipsoid_implicit_and_normals():
 def test_ellipsoid_rejects_bad_axes():
     with pytest.raises(ValueError):
         gen_ellipsoid(0.0, 1, 1, 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("axis", range(3))
+def test_semi_axes_must_be_positive_and_finite(axis, bad):
+    axes = [1.0, 1.5, 2.0]
+    axes[axis] = bad
+    with pytest.raises(ValueError, match="semi-axes must be positive"):
+        ellipsoid_spec(*axes)
+    with pytest.raises(ValueError, match="semi-axes must be positive"):
+        gen_ellipsoid(*axes, 10, seed=0)
+
+
+@pytest.mark.parametrize("area", [np.nan, np.inf, 0.0])
+def test_surface_spec_refuses_an_area_outside_the_positive_reals(area):
+    with pytest.raises(ValueError, match="analytic_area must be positive"):
+        SurfaceSpec({"const1": area})
 
 
 def _spheroid_area(a, c):

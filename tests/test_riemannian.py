@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import lane_rows
+from conftest import lane_rows, s3_boundary
 from surfquad.errors import DegeneratePairError
 from surfquad.geometry import OrientedSample, PointCloud
 from surfquad.pipelines import solve_manifold_boundary
@@ -179,6 +179,20 @@ def test_boundary_sample_off_the_sphere_rejected():
     sample = cap_boundary_sample(np.pi / 3, 16)
     with pytest.raises(ValueError, match="off the unit sphere"):
         ManifoldBoundarySample(PointCloud(1.3 * sample.points), sample.conormals)
+
+
+def test_boundary_sample_outside_r3_rejected():
+    # on S^3 and tangent there: only the dimension is wrong
+    points, conormals = s3_boundary(120, 4)
+    with pytest.raises(ValueError, match="S\\^2 boundary points need 3 coordinates, not 4"):
+        ManifoldBoundarySample(PointCloud(points), conormals)
+
+
+def test_sphere_field_refuses_points_outside_r3():
+    points, conormals = s3_boundary(120, 4)
+    queries = s3_boundary(5, 8)[0]
+    with pytest.raises(ValueError, match="S\\^2 points need 3 coordinates, not 4"):
+        double_layer(SphereModel().field, queries, points, conormals)
 
 
 def test_cap_sample_is_an_oriented_sample():

@@ -8,7 +8,7 @@ from surfquad.geometry import (FramedSample, PointCloud, circle_r3_spec,
                                gen_circle_r3, gen_fibonacci_sphere, interior_queries,
                                median_nn_spacing)
 from surfquad.pipelines import solve_tube
-from surfquad.tube import (SphereDirections, build_tube, integrate_codim,
+from surfquad.tube import (SphereDirections, TubeSample, build_tube, integrate_codim,
                            sample_normal_sphere, tube_sphere_measure)
 
 
@@ -108,6 +108,29 @@ def test_tube_reach_exceeded_detected():
     dirs = sample_normal_sphere(2, 8, 1.0)
     with pytest.raises(SelfIntersectionError):
         build_tube(base, dirs)
+
+
+def test_tube_sample_builds_its_boundary():
+    base = gen_circle_r3(30)
+    dirs = sample_normal_sphere(2, 8, 0.1)
+    tube = TubeSample(base, dirs)
+    offsets = np.einsum("ik,jkn->jin", dirs.directions, base.frames)
+    assert np.array_equal(tube.boundary.points,
+                          (base.points[:, None, :] + offsets).reshape(-1, 3))
+    assert np.array_equal(tube.boundary.normals, (offsets / 0.1).reshape(-1, 3))
+    assert np.array_equal(build_tube(base, dirs).boundary.points, tube.boundary.points)
+    with pytest.raises(TypeError):  # the boundary is no input
+        TubeSample(base=base, directions=dirs, boundary=tube.boundary)
+
+
+def test_tube_sample_refuses_codim_mismatch():
+    with pytest.raises(ValueError, match="base codimension must match"):
+        TubeSample(gen_circle_r3(10), sample_normal_sphere(1, 2, 0.05))
+
+
+def test_tube_sample_refuses_eps_beyond_the_reach():
+    with pytest.raises(SelfIntersectionError, match="exceeds the reach"):
+        TubeSample(gen_circle_r3(64), sample_normal_sphere(2, 8, 1.0))
 
 
 # --- integrate_codim -----------------------------------------------------------
