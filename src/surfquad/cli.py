@@ -213,8 +213,8 @@ def cmd_integrate(args) -> int:
         if key in row.reads and tag not in meta:
             raise SurfquadError(f"{args.weights_path} has no {tag}= header tag to rebuild "
                                 f"its {pipeline} construction from")
-    built = row.build(sample, float(meta["eps"]) if "eps" in meta else None,
-                      int(meta["q"]) if "q" in meta else None)
+    built = row.build(sample, textio.header_tag(args.weights_path, meta, "eps", float),
+                      textio.header_tag(args.weights_path, meta, "q"))
     points, tol = row.weighted(built).points, REBUILT_TOL * np.max(np.abs(sample.points))
     if points.shape != record.points.shape or not np.max(np.abs(points - record.points)) <= tol:
         raise SurfquadError(f"{args.weights_path} was not solved on {args.sample_path}: "
@@ -249,7 +249,10 @@ def cmd_indicator(args) -> int:
 
 
 def cmd_study(args) -> int:
-    sizes = [int(v) for v in str(args.sizes).split(",") if v]
+    try:
+        sizes = [int(v) for v in str(args.sizes).split(",") if v]
+    except ValueError:
+        raise SurfquadError(f"--sizes takes comma-separated integers, not {args.sizes!r}") from None
     if not sizes:
         raise SurfquadError("empty --sizes list")
     fixture, row = _rows(args)

@@ -65,20 +65,10 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class OrientedSample:
-    """Sample points on a hypersurface with unit normals, positionally paired."""
+class _AttachedSample:
+    """Per-point data attached to a cloud; points, dim and length are the cloud's."""
 
     cloud: PointCloud
-    normals: np.ndarray  # (N, n)
-
-    def __post_init__(self):
-        nrm = _as_points(self.normals)
-        object.__setattr__(self, "normals", nrm)
-        nrm.setflags(write=False)
-        if nrm.shape != self.cloud.points.shape:
-            raise ValueError("normals must match points in count and dimension")
-        require_within(np.abs(np.linalg.norm(nrm, axis=1) - 1.0), UNIT_NORMAL_TOL,
-                       "normals must have unit length within 1e-12")
 
     @property
     def points(self) -> np.ndarray:
@@ -91,16 +81,31 @@ class OrientedSample:
     def __len__(self) -> int:
         return len(self.cloud)
 
+
+@dataclass(frozen=True)
+class OrientedSample(_AttachedSample):
+    """Sample points on a hypersurface with unit normals, positionally paired."""
+
+    normals: np.ndarray  # (N, n)
+
+    def __post_init__(self):
+        nrm = _as_points(self.normals)
+        object.__setattr__(self, "normals", nrm)
+        nrm.setflags(write=False)
+        if nrm.shape != self.cloud.points.shape:
+            raise ValueError("normals must match points in count and dimension")
+        require_within(np.abs(np.linalg.norm(nrm, axis=1) - 1.0), UNIT_NORMAL_TOL,
+                       "normals must have unit length within 1e-12")
+
     def flipped(self) -> "OrientedSample":
         """Same points, of the same sample type, with every normal negated."""
         return type(self)(self.cloud, -self.normals)
 
 
 @dataclass(frozen=True)
-class FramedSample:
+class FramedSample(_AttachedSample):
     """Codimension-r sample with an orthonormal normal frame at each point."""
 
-    cloud: PointCloud
     frames: np.ndarray  # (N, r, n)
 
     def __post_init__(self):
@@ -118,17 +123,6 @@ class FramedSample:
     @property
     def codim(self) -> int:
         return self.frames.shape[1]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.cloud.points
-
-    @property
-    def dim(self) -> int:
-        return self.cloud.dim
-
-    def __len__(self) -> int:
-        return len(self.cloud)
 
 
 @dataclass(frozen=True)
@@ -154,52 +148,31 @@ class SurfaceSpec:
         return self.analytic_integrals["const1"]
 
 
-# --- named integrands (coordinate polynomials up to degree 2) ---------------
+# --- named integrands: products of coordinate columns, x, y, z = 0, 1, 2 ---------
 
-def _coord(k):
-    return lambda pts: pts[:, k]
-
-
-def _coord2(k):
-    return lambda pts: pts[:, k] ** 2
-
-
-def _coord_prod(j, k):
-    return lambda pts: pts[:, j] * pts[:, k]
-
-
-INTEGRANDS = {
-    "const1": lambda pts: np.ones(pts.shape[0]),
-    "x": _coord(0),
-    "y": _coord(1),
-    "z": _coord(2),
-    "x2": _coord2(0),
-    "y2": _coord2(1),
-    "z2": _coord2(2),
-    "xy": _coord_prod(0, 1),
-    "xz": _coord_prod(0, 2),
-    "yz": _coord_prod(1, 2),
-}
+INTEGRANDS = {"const1": (), "x": (0,), "y": (1,), "z": (2,), "x2": (0, 0), "y2": (1, 1),
+              "z2": (2, 2), "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
 
 
 def evaluate_integrand(name: str, points: np.ndarray) -> np.ndarray:
-    try:
-        fn = INTEGRANDS[name]
-    except KeyError:
-        raise ValueError(f"unknown integrand {name!r}; choose from {sorted(INTEGRANDS)}") from None
-    return fn(np.asarray(points, dtype=float))
+    """The product of the coordinate columns INTEGRANDS names, at each point."""
+    if name not in INTEGRANDS:
+        raise ValueError(f"unknown integrand {name!r}; choose from {sorted(INTEGRANDS)}")
+    return np.prod(np.asarray(points, dtype=float)[:, list(INTEGRANDS[name])], axis=1)
 
 
 # --- fixture specs -----------------------------------------------------------
+
+# every fixture is symmetric under x -> -x and under y -> -y, so these vanish on each
+_ODD_MOMENTS = {"x": 0.0, "y": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
+
 
 def sphere_spec(n: int = 3) -> SurfaceSpec:
     """Unit sphere S^{n-1} in R^n: the ellipsoid with n unit semi-axes."""
     if n < 3:
         raise ValueError("ambient dimension must be at least 3")
     area = unit_sphere_measure(n)
-    ints = {"const1": area, "x": 0.0, "y": 0.0, "z": 0.0,
-            "x2": area / n, "y2": area / n, "z2": area / n,
-            "xy": 0.0, "xz": 0.0, "yz": 0.0}
+    ints = {**_ODD_MOMENTS, "const1": area, "z": 0.0, "x2": area / n, "y2": area / n, "z2": area / n}
     return SurfaceSpec(ints, partial(_ellipsoid_draw, (1.0,) * n))
 
 
@@ -212,22 +185,20 @@ def ellipsoid_spec(a: float, b: float, c: float) -> SurfaceSpec:
     """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1; area by DLMF 19.33.1."""
     _require_semi_axes(a, b, c)
     area = float(4.0 * np.pi * a * b * c * elliprg(a ** -2, b ** -2, c ** -2))
-    ints = {"const1": area, "x": 0.0, "y": 0.0, "z": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
+    ints = {**_ODD_MOMENTS, "const1": area, "z": 0.0}  # the squares have no closed form
     return SurfaceSpec(ints, partial(_ellipsoid_draw, (a, b, c)))
 
 
 def hemisphere_spec() -> SurfaceSpec:
     """Closed upper unit hemisphere {|p| = 1, z >= 0} (curved part only)."""
-    ints = {"const1": 2.0 * np.pi, "x": 0.0, "y": 0.0, "z": np.pi,
-            "x2": 2.0 * np.pi / 3.0, "y2": 2.0 * np.pi / 3.0, "z2": 2.0 * np.pi / 3.0,
-            "xy": 0.0, "xz": 0.0, "yz": 0.0}
+    ints = {**_ODD_MOMENTS, "const1": 2.0 * np.pi, "z": np.pi,
+            "x2": 2.0 * np.pi / 3.0, "y2": 2.0 * np.pi / 3.0, "z2": 2.0 * np.pi / 3.0}
     return SurfaceSpec(ints, _collar_draw)
 
 
 def circle_r3_spec() -> SurfaceSpec:
     """Unit circle in the plane z = 0 of R^3 (a codimension-2 submanifold)."""
-    ints = {"const1": 2.0 * np.pi, "x": 0.0, "y": 0.0, "z": 0.0,
-            "x2": np.pi, "y2": np.pi, "z2": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
+    ints = {**_ODD_MOMENTS, "const1": 2.0 * np.pi, "z": 0.0, "x2": np.pi, "y2": np.pi, "z2": 0.0}
     return SurfaceSpec(ints, _tube_draw)
 
 
@@ -241,9 +212,8 @@ def s2_cap_spec(alpha: float) -> SurfaceSpec:
         raise ValueError("cap angle must lie in (0, pi)")
     rho = np.sin(alpha)
     length = 2.0 * np.pi * rho
-    ints = {"const1": length, "x": 0.0, "y": 0.0, "z": np.cos(alpha) * length,
-            "x2": np.pi * rho ** 3, "y2": np.pi * rho ** 3, "z2": np.cos(alpha) ** 2 * length,
-            "xy": 0.0, "xz": 0.0, "yz": 0.0}
+    ints = {**_ODD_MOMENTS, "const1": length, "z": np.cos(alpha) * length,
+            "x2": np.pi * rho ** 3, "y2": np.pi * rho ** 3, "z2": np.cos(alpha) ** 2 * length}
     return SurfaceSpec(ints)
 
 

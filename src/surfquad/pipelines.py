@@ -92,6 +92,9 @@ def _read_cap(path) -> ManifoldBoundarySample:
 
 def _build_tube(base, eps, q_directions):
     q = 16 if q_directions is None else q_directions
+    # the codim-1 direction sphere is the two points +-eps, whatever q is asked for
+    if base.codim == 1 and q_directions not in (None, 2):
+        raise SurfquadError(f"codimension-1 tubes use the two directions +-eps, not q={q}")
     if base.codim == 2 and q < 8:
         raise SurfquadError("codimension-2 tubes need at least 8 directions "
                             "to keep the slice system conditioned")

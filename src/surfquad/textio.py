@@ -7,7 +7,8 @@ Lines starting with '#' are comments; a header comment carries
 `dim=<n> codim=<r>`; weight files add the `tau` flag and the tags of their
 construction (`collar eps=...`, `tube r=... q=... eps=...`, `manifold=s2`,
 `offset=...`).
-A data line that does not read is named by its line number in the file.
+A data line that does not read is named by its line number in the file, and
+a header tag that does not read by the file and the tag.
 Floats are written with 17 significant digits so files round-trip losslessly
 and regeneration under identical flags is byte-identical.
 """
@@ -69,6 +70,17 @@ def _parse(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def header_tag(path, meta: dict, key: str, kind=int, default=None):
+    """Header tag ``key`` read as ``kind`` (int or float), or ``default`` without the tag."""
+    if key not in meta:
+        return default
+    try:
+        return kind(meta[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: header tag {key}={meta[key]} is not {what}") from None
+
+
 def _header(dim: int, codim: int = 1, extra: str = "") -> str:
     text = f"# dim={dim} codim={codim}"
     return text + (" " + extra if extra else "")
@@ -80,7 +92,7 @@ def write_cloud(path, cloud: PointCloud):
 
 def read_cloud(path) -> PointCloud:
     data, meta, _ = _parse(path)
-    dim = int(meta.get("dim", data.shape[1]))
+    dim = header_tag(path, meta, "dim", default=data.shape[1])
     if data.shape[1] != dim:
         raise ValueError(f"{path}: expected {dim} columns for a bare cloud")
     return PointCloud(data)
@@ -92,7 +104,7 @@ def write_oriented(path, sample: OrientedSample, extra: str = ""):
 
 def read_oriented(path) -> OrientedSample:
     data, meta, _ = _parse(path)
-    dim = int(meta.get("dim", data.shape[1] // 2))
+    dim = header_tag(path, meta, "dim", default=data.shape[1] // 2)
     if data.shape[1] != 2 * dim:
         raise ValueError(f"{path}: expected {2 * dim} columns for an oriented sample")
     return OrientedSample(PointCloud(data[:, :dim]), data[:, dim:])
@@ -108,7 +120,7 @@ def read_framed(path) -> FramedSample:
     data, meta, _ = _parse(path)
     if "dim" not in meta or "codim" not in meta:
         raise ValueError(f"{path}: framed samples need a '# dim=<n> codim=<r>' header")
-    dim, r = int(meta["dim"]), int(meta["codim"])
+    dim, r = header_tag(path, meta, "dim"), header_tag(path, meta, "codim")
     if data.shape[1] != dim + r * dim:
         raise ValueError(f"{path}: expected {dim + r * dim} columns for codim {r}")
     frames = data[:, dim:].reshape(-1, r, dim)
@@ -141,10 +153,10 @@ def read_weights(path) -> WeightRecord:
     data, meta, flags = _parse(path)
     if "tau" not in flags:
         raise ValueError(f"{path}: weight files need the 'tau' header flag")
-    dim = int(meta.get("dim", (data.shape[1] - 1) // 2))
+    dim = header_tag(path, meta, "dim", default=(data.shape[1] - 1) // 2)
     if data.shape[1] != 2 * dim + 1:
         raise ValueError(f"{path}: expected {2 * dim + 1} columns (point, normal, tau)")
-    offset = float(meta["offset"]) if "offset" in meta else None
+    offset = header_tag(path, meta, "offset", float)
     record = WeightRecord(points=data[:, :dim], normals=data[:, dim:-1],
                           tau=data[:, -1], offset=offset,
                           meta=meta, flags=frozenset(flags))
@@ -152,4 +164,6 @@ def read_weights(path) -> WeightRecord:
         value = getattr(record, block)
         if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{path}: the {block} block holds a non-finite value")
+    if np.any(record.tau < 0.0):
+        raise ValueError(f"{path}: the tau block holds a negative value")
     return record

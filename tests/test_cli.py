@@ -653,6 +653,89 @@ def test_weight_file_with_a_nan_tau_is_not_summed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_weight_file_with_a_negative_tau_is_not_summed(tmp_path, capsys):
+    # WeightSolution refuses a negative tau, and so does the reader of its file
+    s, w, q, out = (tmp_path / "s.txt", tmp_path / "w.txt",
+                    tmp_path / "q.txt", tmp_path / "chi.csv")
+    run(["generate", "--fixture", "sphere", "--count", 200, "-o", s, "--queries", q])
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--queries", q, "-o", w]) == 0
+    lines = w.read_text().splitlines()
+    head, tau = lines[5].rsplit(" ", 1)
+    assert float(tau) > 0.0
+    lines[5] = f"{head} -{tau}"
+    w.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{w}: the tau block holds a negative value" in captured.err
+    assert run(["indicator", "--weights", w, "--queries", q, "-o", out]) == 1
+    assert f"{w}: the tau block holds a negative value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _retagged(prefix, new):
+    def make(tmp_path, s, w):
+        head, body = w.read_text().split("\n", 1)
+        tokens = head.split()
+        old = next(t for t in tokens if t.startswith(prefix))
+        retagged = tmp_path / "retagged.txt"
+        retagged.write_text(" ".join(new if t == old else t for t in tokens) + "\n" + body)
+        return s, retagged
+    return make
+
+
+@pytest.mark.parametrize("pipeline, make, tag", [
+    ("closed", _retagged("tau", "tau offset=zz"), "offset=zz is not a number"),
+    ("collar", _retagged("eps=", "eps=abc"), "eps=abc is not a number"),
+    ("collar", _retagged("dim=", "dim=abc"), "dim=abc is not an integer"),
+    ("tube", _retagged("q=", "q=1.5"), "q=1.5 is not an integer"),
+    ("tube", _retagged("eps=", "eps=abc"), "eps=abc is not a number"),
+], ids=["closed-offset", "collar-eps", "collar-dim", "tube-q", "tube-eps"])
+def test_integrate_names_the_file_and_the_header_tag_that_does_not_read(
+        tmp_path, capsys, solved, pipeline, make, tag):
+    s, w = make(tmp_path, *solved[pipeline])
+    capsys.readouterr()
+    assert run(["integrate", "--sample", s, "--weights", w]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {w}: header tag {tag}" in captured.err
+
+
+def test_weights_names_the_sample_header_tag_that_does_not_read(tmp_path, capsys, solved):
+    s, _ = solved["closed"]
+    bad, w = tmp_path / "bad.txt", tmp_path / "w.txt"
+    bad.write_text(s.read_text().replace("dim=3", "dim=abc", 1))
+    capsys.readouterr()
+    assert run(["weights", "--pipeline", "closed", "--sample", bad, "--fixture", "sphere",
+                "-o", w]) == 1
+    assert f"error: {bad}: header tag dim=abc is not an integer" in capsys.readouterr().err
+    assert not w.exists()
+
+
+def test_codim1_tube_takes_only_its_two_directions(tmp_path, capsys):
+    # the Fibonacci S^2 framed by its normal, and queries inside its 0.2-tube
+    sphere = gen_fibonacci_sphere(100)
+    s, q = tmp_path / "framed.txt", tmp_path / "q.txt"
+    textio.write_framed(s, FramedSample(sphere.cloud, sphere.normals[:, None, :]))
+    radii = np.linspace(0.95, 1.05, 150)[:, None]
+    textio.write_cloud(q, PointCloud(gen_fibonacci_sphere(150).points * radii))
+    weights = ["weights", "--pipeline", "tube", "--sample", s, "--queries", q, "--epsilon", 0.2]
+    w0, w2, w12 = tmp_path / "w0.txt", tmp_path / "w2.txt", tmp_path / "w12.txt"
+    with warnings.catch_warnings():
+        # 100 points do not resolve this tube; the clamp is not under test here
+        warnings.simplefilter("ignore", ClampedMassWarning)
+        assert run([*weights, "--q-directions", 12, "-o", w12]) == 1
+        assert run([*weights, "-o", w0]) == 0
+        assert run([*weights, "--q-directions", 2, "-o", w2]) == 0
+    assert "codimension-1 tubes use the two directions +-eps, not q=12" in capsys.readouterr().err
+    assert not w12.exists()
+    assert w0.read_bytes() == w2.read_bytes()
+    assert " tube r=1 q=2 " in w0.read_text().splitlines()[0]
+    # integrate rebuilds the construction from the header's q=2
+    assert run(["integrate", "--sample", s, "--weights", w0]) == 0
+
+
 def test_indicator_csv(tmp_path):
     s, w, q, out = (tmp_path / "s.txt", tmp_path / "w.txt",
                     tmp_path / "q.txt", tmp_path / "chi.csv")
@@ -777,6 +860,14 @@ def test_study_rejects_underresolved_codim2_tube(tmp_path):
 def test_study_empty_sizes_rejected(tmp_path):
     assert run(["study", "--fixture", "sphere", "--sizes", ",",
                 "-o", tmp_path / "s.csv"]) == 1
+
+
+def test_study_names_sizes_that_do_not_read(tmp_path, capsys):
+    assert run(["study", "--fixture", "sphere", "--sizes", "100,abc",
+                "-o", tmp_path / "s.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "--sizes" in err and "'100,abc'" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_missing_file_errors(tmp_path):

@@ -331,6 +331,43 @@ def test_unknown_integrand_rejected():
         evaluate_integrand("nope", np.zeros((1, 3)))
 
 
+def test_integrands_are_the_explicit_coordinate_products():
+    p = np.random.default_rng(11).standard_normal((1000, 4))
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    explicit = {"const1": np.ones(1000), "x": x, "y": y, "z": z, "x2": x ** 2, "y2": y ** 2,
+                "z2": z ** 2, "xy": x * y, "xz": x * z, "yz": y * z}
+    for name, values in explicit.items():
+        assert np.array_equal(evaluate_integrand(name, p), values), name
+
+
+_ZEROS = {"x": 0.0, "y": 0.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: sphere_spec(3), {**_ZEROS, "const1": 12.566370614359172, "z": 0.0,
+                              "x2": 4.1887902047863905, "y2": 4.1887902047863905,
+                              "z2": 4.1887902047863905}),
+    (lambda: sphere_spec(4), {**_ZEROS, "const1": 19.739208802178716, "z": 0.0,
+                              "x2": 4.934802200544679, "y2": 4.934802200544679,
+                              "z2": 4.934802200544679}),
+    # no squares: they have no closed form on an ellipsoid
+    (lambda: ellipsoid_spec(1, 1.5, 2), {**_ZEROS, "const1": 27.88644247350258, "z": 0.0}),
+    (hemisphere_spec, {**_ZEROS, "const1": 6.283185307179586, "z": 3.141592653589793,
+                       "x2": 2.0943951023931953, "y2": 2.0943951023931953,
+                       "z2": 2.0943951023931953}),
+    (circle_r3_spec, {**_ZEROS, "const1": 6.283185307179586, "z": 0.0,
+                      "x2": 3.141592653589793, "y2": 3.141592653589793, "z2": 0.0}),
+    (lambda: s2_cap_spec(np.pi / 3), {**_ZEROS, "const1": 5.441398092702653,
+                                      "z": 2.720699046351327, "x2": 2.0405242847634946,
+                                      "y2": 2.0405242847634946, "z2": 1.360349523175664}),
+], ids=["sphere3", "sphere4", "ellipsoid", "hemisphere", "circle-r3", "s2-cap"])
+def test_spec_reference_table_is_pinned(make, expected):
+    # every key and every value, to the bit: no moment added or dropped
+    ints = make().analytic_integrals
+    assert sorted(ints) == sorted(expected)
+    assert all(ints[name] == expected[name] for name in expected)
+
+
 # --- interior queries --------------------------------------------------------
 
 def test_sphere_interior_queries_margin():

@@ -1,5 +1,7 @@
 """Round trips and header handling for the plain-text formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,40 @@ def test_weights_with_a_non_finite_value_rejected(tmp_path, block, value):
     textio.write_weights(path, **arrays)
     with pytest.raises(ValueError, match=f"weights.txt: the {block} block holds a non-finite"):
         textio.read_weights(path)
+
+
+def test_weights_with_a_negative_tau_rejected(tmp_path):
+    sample = gen_fibonacci_sphere(9)
+    tau = np.full(9, 0.5)
+    tau[4] = -0.5
+    path = tmp_path / "weights.txt"
+    textio.write_weights(path, sample.points, tau, normals=sample.normals)
+    with pytest.raises(ValueError, match="weights.txt: the tau block holds a negative value"):
+        textio.read_weights(path)
+
+
+def test_weights_with_a_zero_tau_read(tmp_path):
+    # a clamped weight is 0, not negative
+    sample = gen_fibonacci_sphere(9)
+    tau = np.zeros(9)
+    path = tmp_path / "weights.txt"
+    textio.write_weights(path, sample.points, tau, normals=sample.normals)
+    assert np.array_equal(textio.read_weights(path).tau, tau)
+
+
+@pytest.mark.parametrize("read, header, width, message", [
+    (textio.read_cloud, "# dim=abc codim=1", 3, "dim=abc is not an integer"),
+    (textio.read_oriented, "# dim=1.5 codim=1", 6, "dim=1.5 is not an integer"),
+    (textio.read_framed, "# dim=3 codim=two", 9, "codim=two is not an integer"),
+    (textio.read_weights, "# dim=x3 codim=1 tau", 7, "dim=x3 is not an integer"),
+    (textio.read_weights, "# dim=3 codim=1 tau offset=zz", 7, "offset=zz is not a number"),
+], ids=["cloud-dim", "oriented-dim", "framed-codim", "weights-dim", "weights-offset"])
+def test_header_tag_that_does_not_read_names_file_and_tag(tmp_path, read, header, width,
+                                                          message):
+    path = tmp_path / "f.txt"
+    path.write_text(header + "\n" + " ".join(["0.5"] * width) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"f.txt: header tag {message}")):
+        read(path)
 
 
 def test_weights_without_normals(tmp_path):
