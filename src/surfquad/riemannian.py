@@ -59,11 +59,14 @@ def s2_green_gradient(p, q) -> np.ndarray:
 class SphereModel:
     """Round unit sphere S^2 embedded in R^3; supplies its double-layer field."""
 
-    def field(self, queries: np.ndarray, points: np.ndarray, vectors: np.ndarray,
-              work) -> np.ndarray:
-        """Write the rows -g(grad G(p_i, q_j), v_j), shape (N_P, N_Q), into work[-1].
+    def field(self, points: np.ndarray, vectors: np.ndarray):
+        """Bind a sample q_j with vectors v_j and return rows(queries, work).
 
-        With c = p.q, cot(theta/2) = (1 + c) / sin(theta), t_hat.v =
+        The binding runs once per double_layer call: it checks that the
+        sample has 3 coordinates and lies on the unit sphere, and takes
+        q_j.v_j and contiguous (3, N) planes of q and v. rows writes the rows
+        -g(grad G(p_i, q_j), v_j), shape (N_P, N_Q), into work[-1] and returns
+        them. With c = p.q, cot(theta/2) = (1 + c) / sin(theta), t_hat.v =
         (c q.v - p.v) / sin(theta) and sin^2(theta) = 1 - c c, each entry is
         (1 + c) (c (q_j.v_j) - p_i.v_j) / (4 pi (1 - c c)), the contraction
         of s2_green_gradient without its (N_P, N_Q, 3) block. work[:3] are
@@ -73,31 +76,36 @@ class SphereModel:
         the samples permutes the rows bit for bit. A cap-system solver test
         pins this rounding.
         """
-        P, Q, V = (np.asarray(a, dtype=float) for a in (queries, points, vectors))
-        if P.shape[-1] != 3 or Q.shape[-1] != 3:
-            raise ValueError(f"S^2 points need 3 coordinates, not {P.shape[-1]} "
-                             f"(queries) and {Q.shape[-1]} (sample)")
-        _require_on_sphere(P, "query point")
+        Q, V = np.asarray(points, dtype=float), np.asarray(vectors, dtype=float)
+        if Q.shape[-1] != 3:
+            raise ValueError(f"S^2 points need 3 coordinates, not {Q.shape[-1]} (sample)")
         _require_on_sphere(Q, "sample point")
-        c, pv, num, rows = work[0], work[1], work[2], work[-1]
-        np.multiply(P[:, 0, None], Q[:, 0], out=c)
-        for k in (1, 2):
-            c += np.multiply(P[:, k, None], Q[:, k], out=num)
-        if c.max() >= 1.0 - _PAIR_TOL:
-            raise DegeneratePairError("green gradient undefined at coincident points")
-        if c.min() <= -1.0 + _PAIR_TOL:
-            raise DegeneratePairError("green gradient undefined at antipodal points")
-        np.multiply(P[:, 0, None], V[:, 0], out=pv)
-        for k in (1, 2):
-            pv += np.multiply(P[:, k, None], V[:, k], out=num)
-        np.multiply(c, np.einsum("jk,jk->j", Q, V), out=num)
-        num -= pv
-        den = np.multiply(c, c, out=pv)
-        np.subtract(1.0, den, out=den)
-        den *= 4.0 * np.pi
-        np.add(1.0, c, out=rows)
-        rows *= num
-        rows /= den
+        qv = np.einsum("jk,jk->j", Q, V)
+        Q, V = np.ascontiguousarray(Q.T), np.ascontiguousarray(V.T)
+
+        def rows(P: np.ndarray, work) -> np.ndarray:
+            _require_on_sphere(P, "query point")
+            c, pv, num, out = work[0], work[1], work[2], work[-1]
+            np.multiply(P[:, 0, None], Q[0], out=c)
+            for k in (1, 2):
+                c += np.multiply(P[:, k, None], Q[k], out=num)
+            if c.max() >= 1.0 - _PAIR_TOL:
+                raise DegeneratePairError("green gradient undefined at coincident points")
+            if c.min() <= -1.0 + _PAIR_TOL:
+                raise DegeneratePairError("green gradient undefined at antipodal points")
+            np.multiply(P[:, 0, None], V[0], out=pv)
+            for k in (1, 2):
+                pv += np.multiply(P[:, k, None], V[k], out=num)
+            np.multiply(c, qv, out=num)
+            num -= pv
+            den = np.multiply(c, c, out=pv)
+            np.subtract(1.0, den, out=den)
+            den *= 4.0 * np.pi
+            np.add(1.0, c, out=out)
+            out *= num
+            out /= den
+            return out
+
         return rows
 
 

@@ -147,15 +147,18 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
                  vectors: np.ndarray | None = None, summed: bool = False) -> np.ndarray:
     """Double-layer potential of a kernel field, built in chunks of queries.
 
-    field(chunk, points, vectors, work) writes the chunk's rows into work[-1]
-    and returns them: with vectors v_j the contracted rows sum_k K_ijk v_jk,
+    field(points, vectors) binds the sample once per call, in the caller's
+    thread before any lane starts: it checks the sample and returns
+    rows(chunk, work), which writes the chunk's rows into work[-1] and
+    returns them: with vectors v_j the contracted rows sum_k K_ijk v_jk,
     shape (chunk, N), which summed sums over j; without, K's rows over
-    columns (j, k). Every chunk takes max(1, CHUNK_ENTRIES // (LANES * N))
+    columns (j, k). vectors must have the shape of points, one vector per
+    sample point. Every chunk takes max(1, CHUNK_ENTRIES // (LANES * N))
     queries. Lane k of LANES takes chunks k, k + LANES, ..., the caller's
     thread lane 0 and threads of a pool the call starts the others, and
     reuses its own part of one workspace: three (chunk, N) scratch arrays,
     then the result's own rows, or a fourth array to sum when summed. So
-    field must be safe to call from several threads at once on disjoint
+    rows must be safe to call from several threads at once on disjoint
     planes. A row does not depend on its chunk, so the result is bit for bit
     that of one lane. Each lane runs under the caller's np.errstate with its
     share of the caller's ufunc buffer size, and the call returns or raises
@@ -163,6 +166,10 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
     """
     if queries.shape[1] != points.shape[1]:
         raise ValueError("queries and sample must share an ambient dimension")
+    if vectors is not None and np.shape(vectors) != points.shape:
+        raise ValueError(f"vectors of shape {np.shape(vectors)} do not match the sample "
+                         f"of shape {points.shape}: one vector per sample point")
+    rows = field(points, vectors)
     m, count = len(queries), len(points)
     out = np.empty(m if summed else (m, points.size if vectors is None else count))
     step = max(1, CHUNK_ENTRIES // (LANES * max(1, count)))
@@ -183,11 +190,11 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
             try:
                 for lo in starts[k::lanes]:
                     chunk = queries[lo:lo + step]
-                    rows = out[lo:lo + len(chunk)]
-                    planes = [*work[k, :, :len(chunk)]] + ([] if summed else [rows])
-                    result = field(chunk, points, vectors, planes)
+                    into = out[lo:lo + len(chunk)]
+                    planes = [*work[k, :, :len(chunk)]] + ([] if summed else [into])
+                    result = rows(chunk, planes)
                     if summed:
-                        result.sum(axis=1, out=rows)
+                        result.sum(axis=1, out=into)
             finally:
                 np.setbufsize(before)
 

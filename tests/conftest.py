@@ -11,6 +11,41 @@ def lane_rows(count):
     return max(1, CHUNK_ENTRIES // (LANES * count))
 
 
+def spied(field):
+    """field wrapped to log "bind" for each binding and "rows" for each chunk, and the log."""
+    log = []
+
+    def bind(points, vectors):
+        log.append("bind")
+        rows = field(points, vectors)
+
+        def logged(chunk, work):
+            log.append("rows")
+            return rows(chunk, work)
+
+        return logged
+
+    return bind, log
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread pools that solver.double_layer starts, one entry each, from this test on."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from surfquad import solver
+
+    started = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", Recorded)
+    return started
+
+
 def s3_boundary(count, seed):
     """Points on S^3 in R^4 with unit conormals tangent there: a cap sample one dimension up."""
     from surfquad.geometry import gen_sphere_nd

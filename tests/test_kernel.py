@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import surfquad
-from conftest import lane_rows
+from conftest import lane_rows, spied
 from surfquad import solver
 from surfquad.errors import SingularEvaluationError
 from surfquad.kernel import (KernelConfig, double_layer_block, double_layer_row,
@@ -120,7 +121,7 @@ def _contracted_rows(count):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_contracted_rows_match_block(n):
-    # one full contracted chunk and a partial one, so the rows come from two field calls
+    # one full contracted chunk and a partial one, so the rows come from two chunk calls
     rng = np.random.default_rng(11)
     X = rng.standard_normal((_contracted_rows(40) + 44, n))
     Y = rng.standard_normal((40, n))
@@ -135,6 +136,66 @@ def test_contracted_rows_match_block(n):
     # vector assembly writes the planes d_k into the result, by the block's own
     # arithmetic: a reshape that copied would leave its rows unwritten
     assert np.array_equal(double_layer(cfg.field, X, Y), block.reshape(len(X), -1))
+
+
+def _power_rows(X, Y, V, n):
+    """Contracted rows by the arithmetic the field ran per chunk before it bound its sample.
+
+    Strided sample columns and rho^n = rho2^(n//2) by np.power (times rho for
+    odd n): the oracle that the bound field's product forms must match bit for bit.
+    """
+    d = Y[:, 0] - X[:, 0, None]
+    rows, rho2 = d * V[:, 0], d * d
+    for k in range(1, n):
+        d = Y[:, k] - X[:, k, None]
+        rows += d * V[:, k]
+        rho2 += d * d
+    den = np.power(rho2, n // 2)
+    if n % 2:
+        den *= np.sqrt(rho2)
+    den *= unit_sphere_measure(n)
+    return rows / den
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bound_rows_match_the_power_form(n):
+    # several chunks per lane and a partial last one
+    rng = np.random.default_rng(20 + n)
+    Y = rng.standard_normal((300, n))
+    V = rng.standard_normal((300, n))
+    X = rng.standard_normal((2 * LANES * lane_rows(300) + 7, n))
+    expected = _power_rows(X, Y, V, n)
+    field = KernelConfig(n).field
+    assert np.array_equal(double_layer(field, X, Y, V), expected)
+    assert np.array_equal(double_layer(field, X, Y, V, summed=True), expected.sum(axis=1))
+
+
+def test_field_is_bound_once_per_call(pools):
+    rng = np.random.default_rng(21)
+    Y = rng.standard_normal((40, 3))
+    X = rng.standard_normal((3 * LANES * lane_rows(40) + 1, 3))
+    chunks = len(range(0, len(X), lane_rows(40)))
+    assert chunks > LANES
+    field, log = spied(KernelConfig(3).field)
+    for vectors, summed in ((Y, False), (Y, True), (None, False)):
+        log.clear()
+        double_layer(field, X, Y, vectors, summed=summed)
+        assert log[0] == "bind" and log.count("bind") == 1 and log.count("rows") == chunks
+    assert pools
+
+
+@pytest.mark.parametrize("summed", [False, True])
+@pytest.mark.parametrize("shape", [(40, 4), (39, 3), (40,), (120,)])
+def test_misshaped_vectors_raise_before_any_lane_starts(pools, shape, summed):
+    # (40, 4) vectors once lost their 4th column without a word; the others
+    # failed inside a lane with numpy's broadcast text, which names no argument
+    rng = np.random.default_rng(22)
+    Y = rng.standard_normal((40, 3))
+    X = rng.standard_normal((3 * LANES * lane_rows(40), 3))
+    field, log = spied(KernelConfig(3).field)
+    with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*" + re.escape("(40, 3)")):
+        double_layer(field, X, Y, np.ones(shape), summed=summed)
+    assert log == [] and pools == []
 
 
 @pytest.mark.parametrize("summed", [False, True])
@@ -185,7 +246,7 @@ def test_coincident_pair_in_second_chunk_raises(summed):
 
 
 def test_call_returns_after_every_lane_has_stopped():
-    # query i carries i, so a field call knows its chunk; every chunk but the
+    # query i carries i, so a rows call knows its chunk; every chunk but the
     # first sleeps, so the other lanes are still running when lane 0 is done
     step = lane_rows(40)
     X = np.zeros((4 * step, 3))
@@ -194,19 +255,22 @@ def test_call_returns_after_every_lane_has_stopped():
     started, stopped = [], []
     other_lane_running = threading.Event()
 
-    def field(chunk, points, vectors, work, fail_first=False):
-        lo = int(chunk[0, 0])
-        if lo == 0 and fail_first:
-            if LANES > 1:
-                other_lane_running.wait(timeout=10)
-            raise SingularEvaluationError("first chunk")
-        started.append(lo)
-        if lo:
-            other_lane_running.set()
-            time.sleep(0.05)
-        work[-1][:] = lo
-        stopped.append(lo)
-        return work[-1]
+    def field(points, vectors, fail_first=False):
+        def rows(chunk, work):
+            lo = int(chunk[0, 0])
+            if lo == 0 and fail_first:
+                if LANES > 1:
+                    other_lane_running.wait(timeout=10)
+                raise SingularEvaluationError("first chunk")
+            started.append(lo)
+            if lo:
+                other_lane_running.set()
+                time.sleep(0.05)
+            work[-1][:] = lo
+            stopped.append(lo)
+            return work[-1]
+
+        return rows
 
     rows = double_layer(field, X, Y, Y)
     assert np.array_equal(rows[:, 0], np.arange(len(X)) // step * step)

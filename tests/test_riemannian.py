@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import lane_rows, s3_boundary
+from conftest import lane_rows, s3_boundary, spied
 from surfquad.errors import DegeneratePairError
 from surfquad.geometry import OrientedSample, PointCloud
 from surfquad.pipelines import solve_manifold_boundary
@@ -11,7 +11,7 @@ from surfquad.riemannian import (ManifoldBoundarySample, SphereModel,
                                  assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points, continuous_cap_indicator,
                                  s2_green_gradient)
-from surfquad.solver import SystemLayout, double_layer, integrate_function
+from surfquad.solver import LANES, SystemLayout, double_layer, integrate_function
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -305,6 +305,18 @@ def test_field_query_off_the_sphere_raises(summed):
     p = np.vstack([NORTH, 1.01 * SOUTH])
     with pytest.raises(ValueError, match="off the unit sphere"):
         double_layer(SphereModel().field, p, sample.points, sample.conormals, summed=summed)
+
+
+@pytest.mark.parametrize("summed", [False, True], ids=["rows", "summed"])
+def test_sample_off_the_sphere_raises_before_any_lane_starts(pools, summed):
+    sample = cap_boundary_sample(np.pi / 3, 500)
+    points = sample.points.copy()
+    points[-1] *= 1.01
+    p = cap_query_points(np.pi / 3, 3 * LANES * lane_rows(len(points)), seed=10).points
+    field, log = spied(SphereModel().field)
+    with pytest.raises(ValueError, match="sample point off the unit sphere"):
+        double_layer(field, p, points, sample.conormals, summed=summed)
+    assert log == ["bind"] and pools == []
 
 
 def test_exact_elements_near_zero_residual():
