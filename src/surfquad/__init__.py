@@ -21,7 +21,7 @@ from .pipelines import (CollarSolution, solve_closed_scalar, solve_closed_vector
 from .riemannian import (ManifoldBoundarySample, SphereModel, assemble_riemann_system,
                          cap_angle, cap_boundary_sample, continuous_cap_indicator,
                          s2_green_gradient)
-from .solver import (IndicatorSystem, NegativeWeightPolicy, SystemLayout, WeightSolution,
+from .solver import (IndicatorSystem, NegativeWeightPolicy, WeightSolution,
                      assemble_scalar_system, assemble_vector_system, double_layer,
                      indicator_values, integrate_function, solve_weights)
 from .tube import (SphereDirections, TubeSample, build_tube, integrate_codim,

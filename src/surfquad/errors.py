@@ -22,4 +22,4 @@ class DegeneratePairError(SurfquadError):
 
 
 class ClampedMassWarning(UserWarning):
-    """Clamping negative raw scalar weights removed a large share of the mass."""
+    """Clamping (or flipping) negative raw scalar weights moved a large share of the mass."""

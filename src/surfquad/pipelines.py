@@ -33,7 +33,7 @@ def solve_closed_scalar(sample: OrientedSample, queries: PointCloud,
                         regularization: float | None = None) -> WeightSolution:
     """Scalar-unknown solve for a closed oriented hypersurface."""
     system = assemble_scalar_system(queries, sample, KernelConfig(sample.dim))
-    return solve_weights(system, regularization, normals=sample.normals)
+    return solve_weights(system, regularization)
 
 
 def solve_closed_vector(sample: PointCloud, queries: PointCloud,
@@ -65,8 +65,7 @@ def solve_collar(collar: CollarSample, queries: PointCloud,
     # Near-antiparallel face pairs make the sign of a raw collar weight pure
     # orientation noise; flipping it to its magnitude (instead of clamping)
     # preserves the pair sums the half-sum rule needs.
-    sol = solve_weights(system, regularization, normals=outward.normals,
-                        policy=NegativeWeightPolicy.FLIP)
+    sol = solve_weights(system, regularization, policy=NegativeWeightPolicy.FLIP)
     half = len(collar.front)
     return CollarSolution(solution=sol, front_tau=sol.tau[:half], back_tau=sol.tau[half:])
 
@@ -82,7 +81,7 @@ def solve_manifold_boundary(sample: ManifoldBoundarySample, model: SphereModel,
                             regularization: float | None = None) -> WeightSolution:
     """Offset-augmented solve on a compact Riemannian manifold."""
     system = assemble_riemann_system(interior_queries, exterior_queries, sample, model)
-    return solve_weights(system, regularization, normals=sample.conormals)
+    return solve_weights(system, regularization)
 
 
 def _read_cap(path) -> ManifoldBoundarySample:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegeneratePairError
 from .geometry import OrientedSample, PointCloud, _on_unit_sphere, require_within
-from .solver import IndicatorSystem, SystemLayout, double_layer
+from .solver import IndicatorSystem, double_layer
 
 TANGENT_TOL = 1e-10
 _PAIR_TOL = 1e-14
@@ -210,4 +210,4 @@ def assemble_riemann_system(interior_queries: PointCloud, exterior_queries: Poin
     A = double_layer(model.field, queries, sample.points, sample.conormals)
     A = np.hstack([A, np.ones((A.shape[0], 1))])
     rhs = np.concatenate([np.ones(len(interior_queries)), np.zeros(len(exterior_queries))])
-    return IndicatorSystem(A, rhs, SystemLayout.OFFSET_AUGMENTED, len(sample))
+    return IndicatorSystem(A, rhs, sample)

@@ -78,12 +78,6 @@ _AUTO_SCALE = 1e-6
 CLAMP_WARN_FRACTION = 0.01
 
 
-class SystemLayout(Enum):
-    VECTOR_UNKNOWNS = "vector_unknowns"
-    SCALAR_UNKNOWNS = "scalar_unknowns"
-    OFFSET_AUGMENTED = "offset_augmented"
-
-
 class NegativeWeightPolicy(Enum):
     """What a negative raw scalar weight becomes: zero, or its magnitude |raw|."""
 
@@ -93,12 +87,16 @@ class NegativeWeightPolicy(Enum):
 
 @dataclass(frozen=True)
 class IndicatorSystem:
-    """Assembled linear system: one row per query point."""
+    """Assembled linear system: one row per query point, one column per unknown.
+
+    On a PointCloud the unknowns are the vectors mu_j, columns (j, k); on an
+    OrientedSample they are the scalars tau_j along its normals, one column
+    per point, and a further trailing column holds a compact manifold's offset.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    layout: SystemLayout
-    sample_count: int
+    sample: PointCloud | OrientedSample
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=float)
@@ -109,6 +107,13 @@ class IndicatorSystem:
             raise ValueError("matrix rows and rhs length must agree")
         if not np.all(np.isin(b, (0.0, 0.5, 1.0))):
             raise ValueError("rhs entries must be 0, 1/2 or 1")
+        if A.shape[0] < 1 or A.shape[1] < 1:
+            raise ValueError("system must have at least one row and one column")
+        n = len(self.sample)
+        fits = (n, n + 1) if isinstance(self.sample, OrientedSample) else (self.sample.points.size,)
+        if A.shape[1] not in fits:
+            raise ValueError(f"a sample of {n} points ({type(self.sample).__name__}) takes "
+                             f"{' or '.join(map(str, fits))} columns, not {A.shape[1]}")
 
 
 @dataclass(frozen=True)
@@ -212,14 +217,14 @@ def assemble_vector_system(queries: PointCloud, sample: PointCloud,
                            config: KernelConfig) -> IndicatorSystem:
     """Rows K(x_i, y_j)_k over columns (j, k), rhs 1 at the interior queries; unknowns mu_jk."""
     A = double_layer(config.field, queries.points, sample.points)
-    return IndicatorSystem(A, np.ones(len(queries)), SystemLayout.VECTOR_UNKNOWNS, len(sample))
+    return IndicatorSystem(A, np.ones(len(queries)), sample)
 
 
 def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
                            config: KernelConfig) -> IndicatorSystem:
     """Rows dot(K(x_i, y_j), N(y_j)), rhs 1 at the interior queries; unknowns tau_j."""
     A = double_layer(config.field, queries.points, sample.points, sample.normals)
-    return IndicatorSystem(A, np.ones(len(queries)), SystemLayout.SCALAR_UNKNOWNS, len(sample))
+    return IndicatorSystem(A, np.ones(len(queries)), sample)
 
 
 def _matvec(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -288,23 +293,20 @@ def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
         f"the sample likely does not resolve the indicator at the queries"), stacklevel=3)
 
 
-def solve_weights(system: IndicatorSystem, regularization: float | None = None,
-                  normals: np.ndarray | None = None, *,
+def solve_weights(system: IndicatorSystem, regularization: float | None = None, *,
                   policy: NegativeWeightPolicy = NegativeWeightPolicy.CLAMP_TO_ZERO
                   ) -> WeightSolution:
-    """Solve the indicator system and unpack mu/tau per the system layout.
+    """Solve the indicator system and unpack mu/tau on the system's sample.
 
-    regularization is lambda >= 0, None for 1e-6 * max|A|. Scalar layouts
-    need the sample normals to reconstruct mu_j = tau_j N(y_j), and apply
-    policy to their negative raw weights.
+    regularization is lambda >= 0, None for 1e-6 * max|A|. Scalar unknowns
+    give mu_j = tau_j N(y_j), after policy has ruled on the negative raw
+    weights.
     """
     # not (0 <= lam < inf) also refuses nan, which every comparison fails
     if regularization is not None and not 0.0 <= regularization < np.inf:
         raise ValueError(f"regularization must be nonnegative and finite, "
                          f"not {regularization}")
-    A, b = system.matrix, system.rhs
-    if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError("system must have at least one row and one column")
+    A, b, sample = system.matrix, system.rhs, system.sample
     lam = regularization
     if lam is None:
         # max|A| without the |A| temporary, which is as large as A
@@ -314,20 +316,14 @@ def solve_weights(system: IndicatorSystem, regularization: float | None = None,
     residual = float(np.linalg.norm(_matvec(A, w) - b))
 
     offset = None
-    if system.layout is SystemLayout.VECTOR_UNKNOWNS:
-        mu = w.reshape(system.sample_count, -1)
+    if not isinstance(sample, OrientedSample):
+        mu = w.reshape(sample.points.shape)
         tau = np.linalg.norm(mu, axis=1)
         negative, removed = 0, 0.0
     else:
-        raw = w
-        if system.layout is SystemLayout.OFFSET_AUGMENTED:
+        raw = w[:len(sample)]
+        if len(raw) < len(w):
             offset = float(w[-1])
-            raw = w[:-1]
-        if normals is None:
-            raise ValueError("scalar layouts need normals to reconstruct mu")
-        normals = np.asarray(normals, dtype=float)
-        if normals.shape[0] != system.sample_count:
-            raise ValueError("normals count must match the sample count")
         negative = int(np.sum(raw < 0))
         removed = float(np.sum(np.maximum(-raw, 0.0)))
         if policy is NegativeWeightPolicy.CLAMP_TO_ZERO:
@@ -337,7 +333,7 @@ def solve_weights(system: IndicatorSystem, regularization: float | None = None,
             tau = np.abs(raw)
             action = f"flipping {negative} negative raw weights to |raw| carried"
         _warn_if_policy_moved_mass(action, removed, float(tau.sum()))
-        mu = tau[:, None] * normals
+        mu = tau[:, None] * sample.normals
 
     diag = SolveDiagnostics(rows=A.shape[0], cols=A.shape[1], regularization=lam,
                             negative_count=negative, removed_mass=removed)

@@ -22,9 +22,8 @@ from surfquad.pipelines import (solve_closed_scalar, solve_closed_vector,
                                 solve_collar, solve_manifold_boundary, solve_tube)
 from surfquad.riemannian import (SphereModel, cap_boundary_sample, cap_query_points,
                                  continuous_cap_indicator)
-from surfquad.solver import (CLAMP_WARN_FRACTION, IndicatorSystem,
-                             SystemLayout, indicator_values, integrate_function,
-                             solve_weights)
+from surfquad.solver import (CLAMP_WARN_FRACTION, IndicatorSystem, indicator_values,
+                             integrate_function, solve_weights)
 from surfquad.tube import build_tube, integrate_codim, sample_normal_sphere
 
 
@@ -175,7 +174,7 @@ def test_criterion_8_solver_oracle():
         rows = cols + int(rng.integers(10, 120))
         A = rng.standard_normal((rows, cols))
         rhs = rng.choice([0.0, 0.5, 1.0], size=rows)
-        system = IndicatorSystem(A, rhs, SystemLayout.VECTOR_UNKNOWNS, sample_count)
+        system = IndicatorSystem(A, rhs, PointCloud(np.arange(cols, dtype=float).reshape(-1, 3)))
         for lam in (0.0, 1e-3):
             solution = solve_weights(system, lam)
             oracle = normal_equations_solve(A, rhs, lam)

@@ -875,6 +875,26 @@ def test_missing_file_errors(tmp_path):
                 "--fixture", "sphere", "-o", tmp_path / "w.txt"]) == 1
 
 
+# --- no confident wrong number: each run ends near its reference or warns --------
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 14 and 13: vector mode on an irregular sample "
+                          "prints a wrong area and no warning")
+def test_vector_mode_on_a_random_sphere_is_right_or_warns(tmp_path, capsys):
+    # today: integral 17.363 against 4 pi = 12.566 (rel_err +0.38), no warning, exit 0
+    s, w = tmp_path / "s.txt", tmp_path / "w.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["generate", "--fixture", "sphere-nd", "--count", 600, "--seed", 2,
+                    "-o", s]) == 0
+        assert run(["weights", "--pipeline", "closed", "--mode", "vector", "--sample", s,
+                    "--fixture", "sphere-nd", "-o", w]) == 0
+        capsys.readouterr()
+        assert run(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere-nd"]) == 0
+    rel_err = float(re.search(r"rel_err = (\S+)", capsys.readouterr().out).group(1))
+    assert abs(rel_err) <= 0.05 or caught
+
+
 # every long option of each subcommand; a new knob is a reviewed change here
 @pytest.mark.parametrize("command,options", [
     ("generate", ["--a", "--alpha", "--b", "--c", "--count", "--dim", "--epsilon", "--fixture",

@@ -12,7 +12,7 @@ from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
                                median_nn_spacing, sphere_spec)
 from surfquad.kernel import KernelConfig
 from surfquad.pipelines import solve_closed_scalar, solve_collar
-from surfquad.solver import IndicatorSystem, SystemLayout
+from surfquad.solver import IndicatorSystem
 
 
 def _single_point_sample():
@@ -182,8 +182,8 @@ def test_hemisphere_front_back_weight_agreement():
     queries = PointCloud(np.vstack([shell, cavity]))
     rhs = np.concatenate([np.ones(len(shell)), np.zeros(150)])
     A = assemble_scalar_system(queries, outward, KernelConfig(3)).matrix
-    system = IndicatorSystem(A, rhs, SystemLayout.SCALAR_UNKNOWNS, len(outward))
-    sol = solve_weights(system, 1.0, normals=outward.normals)
+    system = IndicatorSystem(A, rhs, outward)
+    sol = solve_weights(system, 1.0)
     front, back = sol.tau[:2000], sol.tau[2000:]
     median_gap = np.median(np.abs(front - back) / np.maximum(front, 1e-30))
     assert median_gap < 0.3
@@ -212,8 +212,8 @@ def test_collar_on_closed_surface_consistent_with_single_copy():
     queries = PointCloud(np.vstack([shell, cavity]))
     rhs = np.concatenate([np.ones(300), np.zeros(300)])
     A = assemble_scalar_system(queries, outward, KernelConfig(3)).matrix
-    system = IndicatorSystem(A, rhs, SystemLayout.SCALAR_UNKNOWNS, len(outward))
-    sol = solve_weights(system, None, normals=outward.normals)
+    system = IndicatorSystem(A, rhs, outward)
+    sol = solve_weights(system, None)
     collar_area = integrate_with_boundary(np.ones(2000), sol.tau[:2000], sol.tau[2000:])
 
     single = solve_closed_scalar(sphere, interior_queries(sphere_spec(), 300, seed=11))

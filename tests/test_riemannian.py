@@ -11,7 +11,7 @@ from surfquad.riemannian import (ManifoldBoundarySample, SphereModel,
                                  assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points, continuous_cap_indicator,
                                  s2_green_gradient)
-from surfquad.solver import LANES, SystemLayout, double_layer, integrate_function
+from surfquad.solver import LANES, double_layer, integrate_function
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -171,7 +171,7 @@ def test_assemble_shapes_and_rhs():
     system = assemble_riemann_system(qi, qe, sample, SphereModel())
     assert system.matrix.shape == (2, 3)
     assert system.rhs.tolist() == [1.0, 0.0]
-    assert system.layout is SystemLayout.OFFSET_AUGMENTED
+    assert system.sample is sample
     assert np.all(system.matrix[:, -1] == 1.0)
 
 

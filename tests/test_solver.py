@@ -1,5 +1,7 @@
 """Assembly layout, Tikhonov solve vs the normal-equations oracle, integration."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,20 +13,34 @@ from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
 from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
-from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy,
-                             SystemLayout, _matvec, _tikhonov_qr, _tikhonov_solve,
-                             assemble_scalar_system, assemble_vector_system,
-                             indicator_values, integrate_function, solve_weights)
+from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy, _matvec,
+                             _tikhonov_qr, _tikhonov_solve, assemble_scalar_system,
+                             assemble_vector_system, indicator_values, integrate_function,
+                             solve_weights)
 
 
-def _scalar_system(A, rhs, count=None):
-    return IndicatorSystem(A, rhs, SystemLayout.SCALAR_UNKNOWNS,
-                           count if count is not None else A.shape[1])
+def _cloud(count, dim):
+    """count distinct points in R^dim, built without a random draw."""
+    return PointCloud(np.arange(count * dim, dtype=float).reshape(count, dim))
+
+
+def _oriented(count):
+    """_cloud(count, 3) with every normal e_1."""
+    return OrientedSample(_cloud(count, 3), np.tile([1.0, 0.0, 0.0], (count, 1)))
+
+
+def _scalar_system(A, rhs):
+    return IndicatorSystem(A, rhs, _oriented(A.shape[1]))
+
+
+def _vector_system(A, rhs, dim):
+    """Vector unknowns in R^dim: A's columns (j, k) over A.shape[1] // dim points."""
+    return IndicatorSystem(A, rhs, _cloud(A.shape[1] // dim, dim))
 
 
 def test_rhs_entries_validated():
     with pytest.raises(ValueError):
-        IndicatorSystem(np.eye(2), np.array([0.3, 1.0]), SystemLayout.SCALAR_UNKNOWNS, 2)
+        IndicatorSystem(np.eye(2), np.array([0.3, 1.0]), _oriented(2))
 
 
 # --- assembly ----------------------------------------------------------------
@@ -44,7 +60,7 @@ def test_vector_assembly_shape_contract():
     system = assemble_vector_system(queries, sample.cloud, KernelConfig(3))
     assert system.matrix.shape == (200, 150)
     assert np.all(system.rhs == 1.0)
-    assert system.layout is SystemLayout.VECTOR_UNKNOWNS
+    assert system.sample is sample.cloud
 
 
 def test_vector_rows_against_exact_elements():
@@ -97,8 +113,7 @@ def test_assembly_per_row_rhs():
     # in an IndicatorSystem of its own
     system = assemble_vector_system(q, s, KernelConfig(3))
     assert system.rhs.tolist() == [1.0, 1.0]
-    mixed = IndicatorSystem(system.matrix, np.array([1.0, 0.0]), system.layout,
-                            system.sample_count)
+    mixed = IndicatorSystem(system.matrix, np.array([1.0, 0.0]), system.sample)
     assert mixed.rhs.tolist() == [1.0, 0.0]
 
 
@@ -106,13 +121,13 @@ def test_assembly_per_row_rhs():
 
 def test_identity_system_recovers_rhs():
     system = _scalar_system(np.eye(3), np.array([1.0, 1.0, 1.0]))
-    sol = solve_weights(system, 0.0, normals=np.eye(3))
+    sol = solve_weights(system, 0.0)
     assert np.allclose(sol.tau, [1.0, 1.0, 1.0])
 
 
 def test_huge_regularization_shrinks_to_zero():
     system = _scalar_system(np.eye(3), np.array([1.0, 0.5, 1.0]))
-    sol = solve_weights(system, 1e12, normals=np.eye(3))
+    sol = solve_weights(system, 1e12)
     assert np.max(sol.tau) < 1e-12
 
 
@@ -289,7 +304,7 @@ def test_tikhonov_on_cap_system_where_gram_cholesky_fails():
 def test_solve_reports_solver_path(shape, lam, path):
     rng = np.random.default_rng(shape[0] * shape[1])
     A = rng.standard_normal(shape)
-    system = IndicatorSystem(A, np.ones(shape[0]), SystemLayout.VECTOR_UNKNOWNS, shape[1] // 3)
+    system = _vector_system(A, np.ones(shape[0]), 3)
     sol = solve_weights(system, lam)
     assert sol.diagnostics.path == path
 
@@ -332,8 +347,7 @@ def test_solve_takes_every_matrix_layout(shape):
     columns = wider[:, 2:-3]
     assert not columns.flags.c_contiguous and not columns.flags.f_contiguous
     c, sliced, fortran = (
-        solve_weights(IndicatorSystem(M, np.ones(shape[0]), SystemLayout.VECTOR_UNKNOWNS, shape[1]),
-                      1e-3)
+        solve_weights(_vector_system(M, np.ones(shape[0]), 1), 1e-3)
         for M in (A, columns, np.asfortranarray(A)))
     assert np.array_equal(sliced.mu, c.mu) and sliced.residual_norm == c.residual_norm
     assert np.max(np.abs(fortran.mu - c.mu)) <= 1e-14 * np.max(np.abs(c.mu))
@@ -347,7 +361,7 @@ def test_residual_norm_matches_an_independent_residual(shape):
     rng = np.random.default_rng(3 * shape[0] + shape[1])
     A = rng.standard_normal(shape)
     b = np.ones(shape[0])
-    system = IndicatorSystem(A, b, SystemLayout.VECTOR_UNKNOWNS, shape[1])
+    system = _vector_system(A, b, 1)
     sol = solve_weights(system, 1.0)
     oracle = np.linalg.norm(A @ sol.mu.ravel() - b)
     assert sol.residual_norm == pytest.approx(oracle, rel=1e-12, abs=0.0)
@@ -362,9 +376,7 @@ def test_solve_weights_matches_oracle_end_to_end():
     lam = 1e-3
     # a random system is no indicator: its flip carries most of the mass
     with pytest.warns(ClampedMassWarning, match="flipping"):
-        sol = solve_weights(system, lam,
-                            normals=rng.standard_normal((20, 3)),
-                            policy=NegativeWeightPolicy.FLIP)
+        sol = solve_weights(system, lam, policy=NegativeWeightPolicy.FLIP)
     oracle = normal_equations_solve(A, rhs, lam)
     assert np.linalg.norm(sol.tau - np.abs(oracle)) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -372,17 +384,16 @@ def test_solve_weights_matches_oracle_end_to_end():
 @pytest.mark.parametrize("lam", [None, 1e-3])
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
 def test_solve_refuses_a_system_without_rows_or_columns(shape, lam):
-    system = IndicatorSystem(np.zeros(shape), np.ones(shape[0]), SystemLayout.SCALAR_UNKNOWNS,
-                             shape[1])
+    # the system refuses itself, before any solve
     with pytest.raises(ValueError, match="at least one row and one column"):
-        solve_weights(system, lam, normals=np.eye(3)[:shape[1]])
+        solve_weights(IndicatorSystem(np.zeros(shape), np.ones(shape[0]), _oriented(3)), lam)
 
 
 def test_rank_deficient_unregularized_raises():
     A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     system = _scalar_system(A, np.ones(3))
     with pytest.raises(IllPosedSystemError):
-        solve_weights(system, 0.0, normals=np.eye(2))
+        solve_weights(system, 0.0)
 
 
 def test_wide_unregularized_raises():
@@ -390,7 +401,7 @@ def test_wide_unregularized_raises():
     A = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
     system = _scalar_system(A, np.ones(2))
     with pytest.raises(IllPosedSystemError, match="without regularization"):
-        solve_weights(system, 0.0, normals=np.eye(3))
+        solve_weights(system, 0.0)
 
 
 def test_unregularized_least_squares_scaling_covariance():
@@ -408,34 +419,44 @@ def test_residual_monotone_in_lambda():
     system = assemble_scalar_system(queries, sample, KernelConfig(3))
     residuals = []
     for lam in (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-        sol = solve_weights(system, lam,
-                            normals=sample.normals)
+        sol = solve_weights(system, lam)
         residuals.append(sol.residual_norm)
     assert all(residuals[i + 1] >= residuals[i] - 1e-12 for i in range(len(residuals) - 1))
 
 
 def test_negative_weight_policies():
     system = _scalar_system(-np.eye(2), np.array([0.0, 1.0]))
-    normals = np.array([[1.0, 0, 0], [0, 1.0, 0]])
     # the flip carries half of the kept mass, so it must warn like a clamp
     with pytest.warns(ClampedMassWarning, match="flipping 1 negative raw weights"):
-        flip = solve_weights(system, 0.0, normals=normals,
-                             policy=NegativeWeightPolicy.FLIP)
+        flip = solve_weights(system, 0.0, policy=NegativeWeightPolicy.FLIP)
     assert np.allclose(flip.tau, [0.0, 1.0])
     assert flip.diagnostics.negative_count == 1
     assert flip.diagnostics.removed_mass == pytest.approx(1.0)
     # the clamp keeps no mass at all, so any removed mass must warn
     with pytest.warns(ClampedMassWarning, match="1 negative raw weights"):
-        clamp = solve_weights(system, 0.0, normals=normals)
+        clamp = solve_weights(system, 0.0)
     assert np.allclose(clamp.tau, [0.0, 0.0])
     assert clamp.diagnostics.negative_count == 1
     assert clamp.diagnostics.removed_mass == pytest.approx(1.0)
 
 
 def test_scalar_solve_requires_normals():
-    system = _scalar_system(np.eye(2), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        solve_weights(system, 0.0)
+    # scalar unknowns need normals, which a cloud lacks: its unknowns are
+    # vectors, and 2 points in R^3 take 6 columns, not 2
+    with pytest.raises(ValueError, match=re.escape("a sample of 2 points (PointCloud) "
+                                                   "takes 6 columns, not 2")):
+        IndicatorSystem(np.eye(2), np.array([1.0, 1.0]), _cloud(2, 3))
+
+
+@pytest.mark.parametrize("sample, cols, takes", [
+    (_oriented(5), 4, "5 or 6"), (_oriented(5), 7, "5 or 6"),
+    (_cloud(5, 3), 14, "15"), (_cloud(5, 3), 17, "15")])
+def test_columns_the_sample_does_not_have_are_refused(sample, cols, takes):
+    # N - 1 and N + 2 columns on 5 oriented points, which take 5, or 6 with
+    # the offset; nN - 1 and nN + 2 on 5 points in R^3, which take 15
+    with pytest.raises(ValueError, match=re.escape(
+            f"a sample of 5 points ({type(sample).__name__}) takes {takes} columns, not {cols}")):
+        IndicatorSystem(np.ones((8, cols)), np.ones(8), sample)
 
 
 def test_vector_mode_tau_is_mu_norm():
@@ -453,7 +474,7 @@ def test_auto_regularization_recorded():
     sample = gen_fibonacci_sphere(20)
     queries = interior_queries(sphere_spec(), 60, seed=9)
     system = assemble_scalar_system(queries, sample, KernelConfig(3))
-    sol = solve_weights(system, None, normals=sample.normals)
+    sol = solve_weights(system, None)
     expected = 1e-6 * np.max(np.abs(system.matrix))
     assert sol.diagnostics.regularization == pytest.approx(expected, rel=1e-12)
     assert sol.diagnostics.rows == 60 and sol.diagnostics.cols == 20
@@ -463,7 +484,7 @@ def test_auto_regularization_recorded():
 def test_auto_regularization_is_exactly_scaled_abs_max(sign):
     # the largest magnitude is an entry of either sign
     A = sign * np.array([[0.5, -3.0, 1.0], [2.0, 0.25, -1.5]])
-    system = IndicatorSystem(A, np.ones(2), SystemLayout.VECTOR_UNKNOWNS, 1)
+    system = _vector_system(A, np.ones(2), 3)
     sol = solve_weights(system)
     assert sol.diagnostics.regularization == 1e-6 * np.max(np.abs(A))
 

@@ -300,8 +300,7 @@ def test_codim1_tube_matches_collar_limit():
     # the tube solve with the collar's flip in place of the clamp
     system = assemble_scalar_system(queries, tube.boundary, KernelConfig(3))
     with pytest.warns(ClampedMassWarning, match="flipping"):
-        sol = solve_weights(system, normals=tube.boundary.normals,
-                            policy=NegativeWeightPolicy.FLIP)
+        sol = solve_weights(system, policy=NegativeWeightPolicy.FLIP)
     tube_area = integrate_codim(np.ones(1000), sol.tau, dirs)
 
     inner = OrientedSample(PointCloud(sphere.points * (1.0 - eps)), sphere.normals)
