@@ -13,7 +13,6 @@ reported as an expected defect.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import SelfIntersectionError
 from .geometry import FramedSample, OrientedSample, PointCloud, median_nn_spacing
@@ -47,6 +46,8 @@ class CollarSample:
     back: OrientedSample = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.spatial import cKDTree
+
         CollarConfig(self.epsilon)  # the thickness rule
         sample, eps = self.front, self.epsilon
         back_pts = sample.points + eps * sample.normals

@@ -12,8 +12,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import elliprg
 
 from .kernel import unit_sphere_measure
 
@@ -183,6 +181,8 @@ def _require_semi_axes(a: float, b: float, c: float) -> None:
 
 def ellipsoid_spec(a: float, b: float, c: float) -> SurfaceSpec:
     """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1; area by DLMF 19.33.1."""
+    from scipy.special import elliprg  # loaded on first use, not by import surfquad
+
     _require_semi_axes(a, b, c)
     area = float(4.0 * np.pi * a * b * c * elliprg(a ** -2, b ** -2, c ** -2))
     ints = {**_ODD_MOMENTS, "const1": area, "z": 0.0}  # the squares have no closed form
@@ -287,6 +287,8 @@ def gen_circle_r3(count: int) -> FramedSample:
 
 def median_nn_spacing(cloud: PointCloud) -> float:
     """Median nearest-neighbor distance h of a cloud; sets collar/tube defaults."""
+    from scipy.spatial import cKDTree
+
     pts = cloud.points
     if len(cloud) < 2:
         raise ValueError("spacing needs at least two points")

@@ -19,10 +19,13 @@ block's columns, so the block's reflectors leave it as it is (Elden, BIT
 17, 1977). M sits below a slot of QR_BLOCK rows that takes each block's
 own lambda rows in turn; dgeqrt factors the block's panel in place and
 dgemqrt applies it to the columns to its right. Factoring the whole stack,
-zeros included, took 2 k^2 (r + 2k/3) flops. dgeqrt runs nearly all of
-its work on level-3 BLAS (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
-2000); LAPACK's dtpqrt, made for this structure, runs its panels on
-level-2 BLAS in OpenBLAS and was slower (README, numerical notes).
+zeros included, took 2 k^2 (r + 2k/3) flops. No finished panel is read
+again, so each block writes its rows of R, C-ordered, into the work
+array's first k * k doubles: R is a view of the work array, and the solve
+holds no second k x k array. dgeqrt runs nearly all of its work on
+level-3 BLAS (Elmroth & Gustavson, IBM J. Res. Dev. 44(4), 2000); LAPACK's
+dtpqrt, made for this structure, runs its panels on level-2 BLAS in
+OpenBLAS and was slower (README, numerical notes).
 
 Neither path forms the Gram matrix A A^T + lambda^2 I: its Cholesky is
 faster on wide systems but squares the condition number. On S^2 cap
@@ -69,6 +72,13 @@ LANES = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # slower than 64, and 128 up to 14% faster on the largest tall solves but
 # 2-8% slower on the tubes (README, numerical notes)
 QR_BLOCK = 64
+
+# side of the square tiles that load M into the F-ordered work array. One
+# assignment of a C-ordered 3000 x 1500 M strides one side and took 25 ms,
+# tiles of 128, 256 and 512 took 4.8, 3.9 and 3.4 ms (2 CPUs); on an
+# F-ordered M tiles of 256 cost 0.3-0.5 ms more than one assignment. A pair
+# of 256-tiles is 1 MB, a pair of 512-tiles 4 MB
+LOAD_TILE = 256
 
 _AUTO_SCALE = 1e-6
 
@@ -238,15 +248,25 @@ def _tikhonov_qr(M: np.ndarray, lam: float, b: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """R of [lam I; M] = Q [R; 0] for M of r x k, and with b, c = (Q^T [0; b])[:k].
 
-    The LAPACK calls write only the work array, never M or b.
+    R is a C-ordered k x k view of the work array's first k * k doubles:
+    no reflector is needed after its block has been applied, so a block
+    writes its rows j0:j1 of R, zeros left of j0, to flat[j0 k : j1 k] of
+    the F-ordered work array. They end at j1 k <= j1 (QR_BLOCK + r), the
+    start of the first column that later blocks still read. c is a k-vector
+    of its own. The LAPACK calls write only the work array, never M or b.
     """
     r, k = M.shape
     tall = b is not None
     work = np.empty((QR_BLOCK + r, k + tall), order="F")
-    work[QR_BLOCK:, :k] = M
+    below = work[QR_BLOCK:, :k]
+    for i in range(0, r, LOAD_TILE):
+        for j in range(0, k, LOAD_TILE):
+            tile = np.s_[i:i + LOAD_TILE, j:j + LOAD_TILE]
+            below[tile] = M[tile]
     if tall:
         work[QR_BLOCK:, k] = b
-    R = np.zeros((k, k + tall), order="F")
+    flat = work.reshape(-1, order="F")
+    c = np.empty(k) if tall else None
     for j0 in range(0, k, QR_BLOCK):
         j1 = min(j0 + QR_BLOCK, k)
         w = j1 - j0
@@ -262,9 +282,16 @@ def _tikhonov_qr(M: np.ndarray, lam: float, b: np.ndarray | None = None
         if info != 0:
             raise ValueError(f"LAPACK: illegal value in argument {-info}")
         # the slot is zero below its diagonal, and no reflector of the block
-        # has a component there, so its rows are R's rows as they stand
-        R[j0:j1, j0:] = work[:w, j0:]
-    return R[:, :k], (R[:, k] if tall else None)
+        # has a component there, so its rows are R's rows as they stand.
+        # They are copied out first: on square systems flat[j0 k : j1 k]
+        # overlaps the block's own panel
+        rows = np.triu(work[:w, j0:k])
+        if tall:
+            c[j0:j1] = work[:w, k]
+        dest = flat[j0 * k:j1 * k].reshape(w, k)
+        dest[:, :j0] = 0.0
+        dest[:, j0:] = rows
+    return flat[:k * k].reshape(k, k), c
 
 
 def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -277,9 +304,13 @@ def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
         return _matvec(A, sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T")),
                        trans=True)
     R, c = _tikhonov_qr(A, lam, b)
-    if lam == 0.0 and not (rcond := sla.lapack.dtrcon(R, norm="1")[0]) > np.finfo(float).eps:
-        raise IllPosedSystemError(f"system is rank deficient (reciprocal condition "
-                                  f"{rcond:.3g}) and has no regularization")
+    # R's 1-norm condition is the infinity-norm condition of R^T, which is
+    # F-ordered and lower triangular, so dtrcon reads it without a copy
+    if lam == 0.0:
+        rcond = sla.lapack.dtrcon(R.T, norm="I", uplo="L")[0]
+        if not rcond > np.finfo(float).eps:
+            raise IllPosedSystemError(f"system is rank deficient (reciprocal condition "
+                                      f"{rcond:.3g}) and has no regularization")
     return sla.solve_triangular(R, c)
 
 

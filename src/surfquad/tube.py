@@ -20,7 +20,6 @@ rows, and the clamped solve warns (ClampedMassWarning).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import SelfIntersectionError
 from .geometry import (FramedSample, OrientedSample, PointCloud, gen_fibonacci_sphere,
@@ -104,6 +103,8 @@ class TubeSample:
     boundary: OrientedSample = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.spatial import cKDTree
+
         base, directions = self.base, self.directions
         if base.codim != directions.codim:
             raise ValueError("base codimension must match the direction sphere")

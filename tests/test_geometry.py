@@ -222,8 +222,8 @@ def test_ellipsoid_area_is_symmetric_and_scales_quadratically():
 
 def test_import_leaves_quadrature_and_optimizers_unloaded():
     code = ("import sys, surfquad; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft', "
+            "'scipy.spatial', 'scipy.special') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(surfquad.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)

@@ -1,6 +1,7 @@
 """Assembly layout, Tikhonov solve vs the normal-equations oracle, integration."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
 from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
-from surfquad.solver import (QR_BLOCK, IndicatorSystem, NegativeWeightPolicy, _matvec,
-                             _tikhonov_qr, _tikhonov_solve, assemble_scalar_system,
+from surfquad.solver import (LOAD_TILE, QR_BLOCK, IndicatorSystem, NegativeWeightPolicy,
+                             _matvec, _tikhonov_qr, _tikhonov_solve, assemble_scalar_system,
                              assemble_vector_system, indicator_values, integrate_function,
                              solve_weights)
 
@@ -161,6 +162,9 @@ def test_tikhonov_wide_branch_matches_oracle():
 BLOCK_EDGE_SHAPES = [shape for k in (1, QR_BLOCK - 1, QR_BLOCK, QR_BLOCK + 1, 2 * QR_BLOCK + 2)
                      for shape in ((2 * k + 1, k), (k, 2 * k + 1))]
 
+# M of more than one load tile each way, whose last tiles are partial
+TILE_EDGE_SHAPES = [(LOAD_TILE + 5, LOAD_TILE + 3), (LOAD_TILE + 3, LOAD_TILE + 5)]
+
 
 @pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES)
 def test_tikhonov_block_edges_match_normal_equations(shape):
@@ -188,7 +192,7 @@ def test_tikhonov_block_edges_where_lambda_dominates(shape):
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
-@pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES)
+@pytest.mark.parametrize("shape", [*BLOCK_EDGE_SHAPES, *TILE_EDGE_SHAPES])
 def test_tikhonov_qr_factors_the_regularized_gram_matrix(shape, lam):
     # M = A on the tall path, with c = (Q^T [0; b])[:k], so that
     # R^T c = [lam I; M]^T [0; b] = M^T b; M = A^T on the wide path
@@ -199,7 +203,7 @@ def test_tikhonov_qr_factors_the_regularized_gram_matrix(shape, lam):
     M = A if tall else A.T
     R, c = _tikhonov_qr(M, lam, b if tall else None)
     k = M.shape[1]
-    assert R.shape == (k, k) and np.array_equal(R, np.triu(R))
+    assert R.shape == (k, k) and np.array_equal(R, np.triu(R)) and R.flags.c_contiguous
     scale = np.linalg.norm(M, 2) ** 2
     gram = M.T @ M + lam * lam * np.eye(k)
     assert np.max(np.abs(R.T @ R - gram)) <= 1e-12 * scale
@@ -212,7 +216,8 @@ def test_tikhonov_qr_factors_the_regularized_gram_matrix(shape, lam):
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 @pytest.mark.parametrize("shape, lam", [((2 * QR_BLOCK + 5, QR_BLOCK + 3), 1e-3),
                                         ((QR_BLOCK + 3, 2 * QR_BLOCK + 5), 1e-3),
-                                        ((2 * QR_BLOCK + 5, QR_BLOCK + 3), 0.0)])
+                                        ((2 * QR_BLOCK + 5, QR_BLOCK + 3), 0.0),
+                                        *((shape, 1e-3) for shape in TILE_EDGE_SHAPES)])
 def test_solve_leaves_its_inputs_unchanged(shape, lam, layout):
     # the in-place LAPACK calls may write only the solve's own work array
     rng = np.random.default_rng(shape[0] + 3 * shape[1])
@@ -224,6 +229,31 @@ def test_solve_leaves_its_inputs_unchanged(shape, lam, layout):
     before = base.tobytes(), A.tobytes(), b.tobytes()
     _tikhonov_solve(A, b, lam)
     assert (base.tobytes(), A.tobytes(), b.tobytes()) == before
+
+
+@pytest.mark.parametrize("shape, lam", [((16 * QR_BLOCK, 8 * QR_BLOCK), 1e-3),
+                                        ((8 * QR_BLOCK, 8 * QR_BLOCK), 1e-3),
+                                        ((8 * QR_BLOCK, 16 * QR_BLOCK), 1e-3),
+                                        ((16 * QR_BLOCK, 8 * QR_BLOCK), 0.0)])
+def test_solve_keeps_r_in_its_work_array(shape, lam):
+    # R sits in the work array's finished panels, so beyond A and b the
+    # solve holds the work array, block-sized temporaries and the k x k
+    # bools of solve_triangular's finiteness check, not a second k x k
+    # array of doubles (measured 0.30 of R's bytes at k = 8 QR_BLOCK, 1.13
+    # with R apart)
+    rng = np.random.default_rng(shape[0] + 2 * shape[1])
+    A = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    tall = shape[0] >= shape[1]
+    r, k = shape if tall else shape[::-1]
+    work = (QR_BLOCK + r) * (k + tall) * 8
+    tracemalloc.start()
+    try:
+        _tikhonov_solve(A, b, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < work + k * k * 8 / 2
 
 
 def _svd_filter_solve(A, b, lam):
