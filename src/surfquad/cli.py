@@ -97,6 +97,8 @@ def _rows(args, pipeline: str | None = None):
     given = {key for key in _FLAGS if getattr(args, key, None) is not None}
     if getattr(args, "mode", None) == "vector":
         given.add("vector")
+    if args.command == "generate" and args.queries_path:
+        given.add("queries")  # the file generate draws queries into
     for table, name, kind in ((_FIXTURES, args.fixture, "fixture"),
                               (PIPELINES, pipeline, "pipeline")):
         reads = table[name].reads if name else ()

@@ -1,13 +1,14 @@
 """Solid collar construction for hypersurfaces with boundary.
 
-A sample of a bordered hypersurface is doubled into front/back faces of the
-collar solid {y + t N(y), 0 <= t <= eps}. The stored orientation keeps the
-original normals on the front and their negations on the back; both point
-into the solid, so assemblies against interior queries use the flipped
-(outward) field. Integrals over the original surface come from the half-sum
-of front and back elements. The collar's side strip over the surface
-boundary is deliberately left unsampled; its area eps * length(boundary) is
-reported as an expected defect.
+A sample of a bordered hypersurface is doubled into the front and back faces
+of the collar solid {y + t N(y), 0 <= t <= eps}, stored as one closed
+boundary oriented outward from the solid, as a tube's is: the front points
+with normals -N, then y + eps N(y) with normals N. It is built once, and
+refused where geometry.nearest_gaps puts a back point within 1e-9 eps of
+another boundary point. Integrals over the original surface come from the
+half-sum of front and back elements. The collar's side strip over the
+surface boundary is deliberately left unsampled; its area
+eps * length(boundary) is reported as an expected defect.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SelfIntersectionError
-from .geometry import FramedSample, OrientedSample, PointCloud, median_nn_spacing
+from .geometry import FramedSample, OrientedSample, PointCloud, median_nn_spacing, nearest_gaps
 
 DEFAULT_EPS_FACTOR = 2.0  # default epsilon = 2 * median nearest-neighbor spacing
 
@@ -36,42 +37,35 @@ def default_epsilon(sample: OrientedSample | FramedSample) -> float:
 
 @dataclass(frozen=True)
 class CollarSample:
-    """Front/back faces of the collar solid of thickness epsilon over one oriented sample.
+    """Outward closed boundary of the collar solid of thickness epsilon over an oriented sample.
 
-    The back face, points y + eps N(y) with normals -N, is built from the two inputs.
+    Front points y with normals -N, then y + eps N(y) with normals N, built from the two inputs.
     """
 
     front: OrientedSample
     epsilon: float
-    back: OrientedSample = field(init=False, repr=False, compare=False)
+    boundary: OrientedSample = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.spatial import cKDTree
-
         CollarConfig(self.epsilon)  # the thickness rule
-        sample, eps = self.front, self.epsilon
-        back_pts = sample.points + eps * sample.normals
-        near, _ = cKDTree(sample.points).query(back_pts, k=1)
-        collision = np.min(near) <= 1e-9 * eps
-        if not collision and len(sample) > 1:
-            pair, _ = cKDTree(back_pts).query(back_pts, k=2)
-            collision = np.min(pair[:, 1]) <= 1e-9 * eps
-        if collision:
+        y, n, eps = self.front.points, self.front.normals, self.epsilon
+        pts = np.vstack([y, y + eps * n])
+        # a back point on a front point or on another back point
+        if np.min(nearest_gaps(pts)[len(y):]) <= 1e-9 * eps:
             raise SelfIntersectionError(
                 "offset points collide; epsilon exceeds the local feature size")
-        object.__setattr__(self, "back", OrientedSample(PointCloud(back_pts), -sample.normals))
+        object.__setattr__(self, "boundary", OrientedSample(PointCloud(pts), np.vstack([-n, n])))
 
     def __len__(self) -> int:
-        return 2 * len(self.front)
+        return len(self.boundary)
 
     def outward(self) -> OrientedSample:
-        """Both faces, front first, oriented outward from the collar solid, for assembly."""
-        pts = np.vstack([self.front.points, self.back.points])
-        return OrientedSample(PointCloud(pts), -np.vstack([self.front.normals, self.back.normals]))
+        """The stored boundary, front first, oriented outward from the collar solid."""
+        return self.boundary
 
 
 def build_collar(sample: OrientedSample, config: CollarConfig) -> CollarSample:
-    """Duplicate the sample across the collar: back points y + eps N(y), normals -N."""
+    """The collar of thickness config.epsilon over the sample: CollarSample(sample, epsilon)."""
     return CollarSample(sample, config.epsilon)
 
 

@@ -285,15 +285,18 @@ def gen_circle_r3(count: int) -> FramedSample:
     return FramedSample(PointCloud(pts), frames)
 
 
-def median_nn_spacing(cloud: PointCloud) -> float:
-    """Median nearest-neighbor distance h of a cloud; sets collar/tube defaults."""
+def nearest_gaps(points: np.ndarray) -> np.ndarray:
+    """Each point's distance to its nearest other point, inf for a lone point (k-d tree)."""
     from scipy.spatial import cKDTree
 
-    pts = cloud.points
+    return cKDTree(points).query(points, k=2)[0][:, 1]
+
+
+def median_nn_spacing(cloud: PointCloud) -> float:
+    """Median nearest-neighbor distance h of a cloud; sets collar/tube defaults."""
     if len(cloud) < 2:
         raise ValueError("spacing needs at least two points")
-    dists, _ = cKDTree(pts).query(pts, k=2)
-    return float(np.median(dists[:, 1]))
+    return float(np.median(nearest_gaps(cloud.points)))
 
 
 # --- interior query generation ----------------------------------------------

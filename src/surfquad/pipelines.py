@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import textio
-from .collar import (CollarConfig, CollarSample, build_collar, default_epsilon,
-                     integrate_with_boundary)
+from .collar import CollarSample, default_epsilon, integrate_with_boundary
 from .errors import SurfquadError
 from .geometry import OrientedSample, PointCloud, interior_queries
 from .kernel import KernelConfig
@@ -56,12 +55,11 @@ def solve_collar(collar: CollarSample, queries: PointCloud,
                  regularization: float | None = None) -> CollarSolution:
     """Scalar solve over both collar faces against queries inside the solid.
 
-    Assembly uses the outward orientation of the collar boundary (the stored
-    collar normals point into the solid), so interior queries pair with
-    rhs = 1 and positive elements.
+    Assembly reads the boundary the collar stored when it was built (and
+    geometry.nearest_gaps guarded), whose normals point out of the solid, so
+    interior queries pair with rhs = 1 and positive elements.
     """
-    outward = collar.outward()
-    system = assemble_scalar_system(queries, outward, KernelConfig(outward.dim))
+    system = assemble_scalar_system(queries, collar.boundary, KernelConfig(collar.boundary.dim))
     # Near-antiparallel face pairs make the sign of a raw collar weight pure
     # orientation noise; flipping it to its magnitude (instead of clamping)
     # preserves the pair sums the half-sum rule needs.
@@ -164,8 +162,8 @@ PIPELINES = {
         # one row per front point: thin-shell rows beyond that mostly add
         # near-field noise rather than information
         query_count=lambda s, vector: len(s),
-        build=lambda s, eps, q_directions: build_collar(s, CollarConfig(eps)),
-        weighted=lambda collar: collar.outward(),
+        build=lambda s, eps, q_directions: CollarSample(s, eps),
+        weighted=lambda collar: collar.boundary,
         tag=lambda collar: f"collar eps={collar.epsilon:.17g}",
         # tau holds the front face's weights, then the back face's
         total=lambda f, tau, collar: integrate_with_boundary(f, *np.split(tau, 2))),

@@ -301,8 +301,9 @@ def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
                                       f"without regularization")
         # R^T R = A A^T + lam^2 I, so w = A^T (A A^T + lam^2 I)^-1 b
         R, _ = _tikhonov_qr(A.T, lam)
-        return _matvec(A, sla.solve_triangular(R, sla.solve_triangular(R, b, trans="T")),
-                       trans=True)
+        # A is finite (solve_weights), so are R and b: no finiteness pass over R
+        y = sla.solve_triangular(R, b, trans="T", check_finite=False)
+        return _matvec(A, sla.solve_triangular(R, y, check_finite=False), trans=True)
     R, c = _tikhonov_qr(A, lam, b)
     # R's 1-norm condition is the infinity-norm condition of R^T, which is
     # F-ordered and lower triangular, so dtrcon reads it without a copy
@@ -311,7 +312,7 @@ def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
         if not rcond > np.finfo(float).eps:
             raise IllPosedSystemError(f"system is rank deficient (reciprocal condition "
                                       f"{rcond:.3g}) and has no regularization")
-    return sla.solve_triangular(R, c)
+    return sla.solve_triangular(R, c, check_finite=False)
 
 
 def _warn_if_policy_moved_mass(action: str, mass: float, kept: float) -> None:
@@ -329,19 +330,20 @@ def solve_weights(system: IndicatorSystem, regularization: float | None = None, 
                   ) -> WeightSolution:
     """Solve the indicator system and unpack mu/tau on the system's sample.
 
-    regularization is lambda >= 0, None for 1e-6 * max|A|. Scalar unknowns
-    give mu_j = tau_j N(y_j), after policy has ruled on the negative raw
-    weights.
+    regularization is lambda >= 0, None for 1e-6 * max|A|; A must be finite.
+    Scalar unknowns give mu_j = tau_j N(y_j), after policy has ruled on the
+    negative raw weights.
     """
     # not (0 <= lam < inf) also refuses nan, which every comparison fails
     if regularization is not None and not 0.0 <= regularization < np.inf:
         raise ValueError(f"regularization must be nonnegative and finite, "
                          f"not {regularization}")
     A, b, sample = system.matrix, system.rhs, system.sample
-    lam = regularization
-    if lam is None:
-        # max|A| without the |A| temporary, which is as large as A
-        lam = _AUTO_SCALE * float(max(A.max(), -A.min()))
+    # max|A| without the |A| temporary, which is as large as A; nan if A holds one
+    scale = float(max(A.max(), -A.min()))
+    if not scale < np.inf:
+        raise ValueError("system matrix holds a non-finite entry")
+    lam = _AUTO_SCALE * scale if regularization is None else regularization
 
     w = _tikhonov_solve(A, b, lam)
     residual = float(np.linalg.norm(_matvec(A, w) - b))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SelfIntersectionError
 from .geometry import (FramedSample, OrientedSample, PointCloud, gen_fibonacci_sphere,
-                       gen_sphere_nd, require_within)
+                       gen_sphere_nd, nearest_gaps, require_within)
 from .kernel import unit_sphere_measure
 
 
@@ -103,8 +103,6 @@ class TubeSample:
     boundary: OrientedSample = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.spatial import cKDTree
-
         base, directions = self.base, self.directions
         if base.codim != directions.codim:
             raise ValueError("base codimension must match the direction sphere")
@@ -113,8 +111,7 @@ class TubeSample:
         offsets = np.einsum("ik,jkn->jin", a, base.frames)
         pts = (base.points[:, None, :] + offsets).reshape(-1, base.dim)
         normals = (offsets / directions.epsilon).reshape(-1, base.dim)
-        dists, _ = cKDTree(pts).query(pts, k=2)
-        if np.min(dists[:, 1]) <= 1e-8 * directions.epsilon:
+        if np.min(nearest_gaps(pts)) <= 1e-8 * directions.epsilon:
             raise SelfIntersectionError(
                 "tube boundary points coincide; epsilon exceeds the reach of the base manifold")
         object.__setattr__(self, "boundary", OrientedSample(PointCloud(pts), normals))

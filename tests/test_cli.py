@@ -154,7 +154,9 @@ def test_s2_cap_rejects_query_files(tmp_path, capsys):
                 "--queries", q]) == 1
     assert not q.exists()
     assert not s.exists()
-    assert "no interior-query rule" in capsys.readouterr().err
+    # refused by the pipeline table, with the text `weights` gives
+    assert ("--queries file applies to the closed, collar, tube pipelines only; "
+            "s2-cap reads no --queries file") in capsys.readouterr().err
     assert run(["generate", "--fixture", "s2-cap", "--count", 100, "-o", s]) == 0
     textio.write_cloud(q, PointCloud(np.eye(3)))
     assert run(["weights", "--pipeline", "s2-cap", "--sample", s, "--queries", q,

@@ -22,17 +22,21 @@ def _single_point_sample():
 
 def test_build_collar_single_point():
     collar = build_collar(_single_point_sample(), CollarConfig(0.1))
-    assert np.allclose(collar.back.points[0], [0.0, 0.0, 1.1])
-    assert np.allclose(collar.back.normals[0], [0.0, 0.0, -1.0])
+    # the back row, whose outward normal is the front normal +N
+    assert np.allclose(collar.boundary.points[1], [0.0, 0.0, 1.1])
+    assert np.allclose(collar.boundary.normals[1], [0.0, 0.0, 1.0])
     assert len(collar) == 2
 
 
 def test_collar_offsets_and_negated_normals():
     hemi = gen_hemisphere(500)
     collar = build_collar(hemi, CollarConfig(0.05))
-    gaps = np.linalg.norm(collar.back.points - collar.front.points, axis=1)
+    back = collar.boundary.points[500:]
+    gaps = np.linalg.norm(back - collar.front.points, axis=1)
     assert np.max(np.abs(gaps - 0.05)) < 1e-12
-    assert np.array_equal(collar.back.normals, -collar.front.normals)
+    # outward, the front rows carry -N and the back rows N
+    assert np.array_equal(collar.boundary.normals[:500], -collar.front.normals)
+    assert np.array_equal(collar.boundary.normals[500:], collar.front.normals)
     assert len(collar) == 1000
 
 
@@ -73,12 +77,30 @@ def test_back_face_fold_detected():
 def test_collar_sample_builds_its_back_face():
     front = gen_hemisphere(200)
     collar = CollarSample(front, 0.07)
-    assert np.array_equal(collar.back.points, front.points + 0.07 * front.normals)
-    assert np.array_equal(collar.back.normals, -front.normals)
-    assert np.array_equal(build_collar(front, CollarConfig(0.07)).back.points,
-                          collar.back.points)
-    with pytest.raises(TypeError):  # the back face is no input
-        CollarSample(front=front, back=collar.back, epsilon=0.07)
+    back = collar.boundary.points[200:]
+    assert np.array_equal(back, front.points + 0.07 * front.normals)
+    assert np.array_equal(collar.boundary.normals[200:], front.normals)
+    assert np.array_equal(build_collar(front, CollarConfig(0.07)).boundary.points[200:], back)
+    with pytest.raises(TypeError):  # the boundary is no input
+        CollarSample(front=front, boundary=collar.boundary, epsilon=0.07)
+
+
+def test_collar_boundary_is_both_faces_outward():
+    front = gen_hemisphere(200)
+    collar = CollarSample(front, 0.07)
+    y, n = front.points, front.normals
+    assert np.array_equal(collar.boundary.points, np.vstack([y, y + 0.07 * n]))
+    assert np.array_equal(collar.boundary.normals, np.vstack([-n, n]))
+    # built once: the assembly reads the stored boundary, not a copy
+    assert collar.outward() is collar.boundary
+
+
+def test_collar_guard_reads_only_the_back_face():
+    # two front points 1e-12 apart pass, as long as their offsets part
+    pts = np.array([[0.0, 0.0, 0.0], [1e-12, 0.0, 0.0]])
+    normals = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    collar = CollarSample(OrientedSample(PointCloud(pts), normals), 0.1)
+    assert np.allclose(collar.boundary.points[2:], [[-0.1, 0.0, 0.0], [0.1, 0.0, 0.0]])
 
 
 def test_collar_sample_refuses_colliding_offsets():

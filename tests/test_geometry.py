@@ -15,8 +15,8 @@ from surfquad.geometry import (FramedSample, OrientedSample, PointCloud, Surface
                                circle_r3_spec, ellipsoid_spec, evaluate_integrand,
                                gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere,
                                gen_hemisphere, gen_sphere_nd, hemisphere_spec,
-                               interior_queries, median_nn_spacing, require_within,
-                               s2_cap_spec, sphere_spec)
+                               interior_queries, median_nn_spacing, nearest_gaps,
+                               require_within, s2_cap_spec, sphere_spec)
 from surfquad.riemannian import ManifoldBoundarySample, s2_green_gradient
 from surfquad.tube import SphereDirections
 
@@ -430,6 +430,14 @@ def test_queries_without_interior_rejected():
 def test_interior_queries_refuse_a_non_finite_epsilon(spec, eps):
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         interior_queries(spec, 10, seed=0, margin=0.01, epsilon=eps)
+
+
+def test_nearest_gaps_match_brute_force():
+    pts = np.random.default_rng(21).standard_normal((300, 3))
+    pairwise = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(pairwise, np.inf)
+    assert np.allclose(nearest_gaps(pts), pairwise.min(axis=1), rtol=1e-14, atol=0.0)
+    assert nearest_gaps(pts[:1])[0] == np.inf  # no other point
 
 
 def test_median_spacing_requires_two_points():

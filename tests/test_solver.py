@@ -237,10 +237,9 @@ def test_solve_leaves_its_inputs_unchanged(shape, lam, layout):
                                         ((16 * QR_BLOCK, 8 * QR_BLOCK), 0.0)])
 def test_solve_keeps_r_in_its_work_array(shape, lam):
     # R sits in the work array's finished panels, so beyond A and b the
-    # solve holds the work array, block-sized temporaries and the k x k
-    # bools of solve_triangular's finiteness check, not a second k x k
-    # array of doubles (measured 0.30 of R's bytes at k = 8 QR_BLOCK, 1.13
-    # with R apart)
+    # solve holds the work array and block-sized temporaries, not a second
+    # k x k array of doubles (measured 0.30 of R's bytes at k = 8 QR_BLOCK,
+    # 1.13 with R apart)
     rng = np.random.default_rng(shape[0] + 2 * shape[1])
     A = rng.standard_normal(shape)
     b = rng.standard_normal(shape[0])
@@ -432,6 +431,17 @@ def test_wide_unregularized_raises():
     system = _scalar_system(A, np.ones(2))
     with pytest.raises(IllPosedSystemError, match="without regularization"):
         solve_weights(system, 0.0)
+
+
+@pytest.mark.parametrize("lam", [None, 1e-3, 0.0])
+@pytest.mark.parametrize("shape", [(90, 60), (30, 60)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_refused_by_name(bad, shape, lam):
+    # refused before any factorization, whatever the shape and lambda
+    A = np.random.default_rng(shape[0]).standard_normal(shape)
+    A[shape[0] // 2, 7] = bad
+    with pytest.raises(ValueError, match="system matrix holds a non-finite entry"):
+        solve_weights(_scalar_system(A, np.ones(shape[0])), lam)
 
 
 def test_unregularized_least_squares_scaling_covariance():
