@@ -6,13 +6,13 @@ seeds named in them. Each construction is one row of
 ``pipelines.PIPELINES``, and every subcommand runs through that row; this
 module holds the argument parser, the fixtures, file handling and printing.
 A flag that the chosen pipeline or fixture row does not read is refused
-(exit 1) before any file is read or written. ``integrate`` rebuilds the
+(exit 1) before any file is read or written, and a --fixture of another
+pipeline before the sample file is read. ``integrate`` rebuilds the
 construction from the sample file and the weight file's header tags, and
 refuses (exit 1) a sample that does not rebuild the weight file's points.
 """
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,8 +24,8 @@ from . import textio
 from .errors import SurfquadError
 from .geometry import (INTEGRANDS, circle_r3_spec, ellipsoid_spec, evaluate_integrand,
                        gen_circle_r3, gen_ellipsoid, gen_fibonacci_sphere, gen_hemisphere,
-                       gen_sphere_nd, hemisphere_spec, interior_queries, median_nn_spacing,
-                       s2_cap_spec, sphere_spec)
+                       gen_sphere_nd, hemisphere_spec, median_nn_spacing, s2_cap_spec,
+                       sphere_spec)
 from .pipelines import PIPELINES, Pipeline
 from .riemannian import cap_angle, cap_boundary_sample
 from .solver import double_layer
@@ -125,14 +125,13 @@ def _rows(args, pipeline: str | None = None):
     return fixture, PIPELINES.get(pipeline)
 
 
-def _spec(args, fixture: _Fixture | None, pipeline: str, sample):
-    """The reference spec of --fixture, which must be a sample of this pipeline."""
-    if fixture is None:
-        return None
-    if fixture.pipeline != pipeline:
+def _read_sample(args, fixture: _Fixture | None, pipeline: str):
+    """The --sample and --fixture's spec (or None), refusing another pipeline's fixture first."""
+    if fixture is not None and fixture.pipeline != pipeline:
         raise SurfquadError(f"fixture {args.fixture} is a {fixture.pipeline} sample, "
                             f"not a {pipeline} one")
-    return fixture.spec(args, sample)
+    sample = PIPELINES[pipeline].read(args.sample_path)
+    return sample, fixture.spec(args, sample) if fixture else None
 
 
 def _solve(row: Pipeline, sample, spec, args, seed: int, study: bool = False):
@@ -166,9 +165,8 @@ def cmd_generate(args) -> int:
     queries = None
     if args.queries_path:
         count = args.count if args.query_count is None else args.query_count
-        queries = interior_queries(fixture.spec(args, sample), count,
-                                   args.query_seed, margin=args.margin,
-                                   epsilon=row.epsilon(sample, args.epsilon))
+        queries = row.queries(sample, fixture.spec(args, sample), count, args.query_seed,
+                              row.epsilon(sample, args.epsilon), args.margin)
     row.write(args.output, sample)
     cloud = sample.cloud
     h = median_nn_spacing(cloud) if len(cloud) > 1 else float("nan")
@@ -181,8 +179,7 @@ def cmd_generate(args) -> int:
 
 def cmd_weights(args) -> int:
     fixture, row = _rows(args, args.pipeline)
-    sample = row.read(args.sample_path)
-    spec = _spec(args, fixture, args.pipeline, sample)
+    sample, spec = _read_sample(args, fixture, args.pipeline)
     eps, built, sol = _solve(row, sample, spec, args, args.query_seed)
     weighted = row.weighted(built)
     # vector unknowns write the orientations they recovered
@@ -208,8 +205,7 @@ def cmd_integrate(args) -> int:
     record = textio.read_weights(args.weights_path)
     pipeline = _pipeline_of(record)
     row = PIPELINES[pipeline]
-    sample = row.read(args.sample_path)
-    spec = _spec(args, fixture, pipeline, sample)
+    sample, spec = _read_sample(args, fixture, pipeline)
     meta = record.meta
     for key, tag in (("epsilon", "eps"), ("q_directions", "q")):
         if key in row.reads and tag not in meta:
@@ -241,11 +237,8 @@ def cmd_indicator(args) -> int:
                        record.tau[:, None] * record.normals, summed=True)
     if record.offset is not None:
         chi += record.offset
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i+1}" for i in range(queries.dim)] + ["chi"])
-        for pt, v in zip(queries.points, chi):
-            writer.writerow([f"{c:.17g}" for c in pt] + [f"{v:.17g}"])
+    textio.write_csv(args.output, [f"x{i+1}" for i in range(queries.dim)] + ["chi"],
+                     np.column_stack([queries.points, chi]).tolist())
     print(f"wrote indicator values for {len(queries)} queries to {args.output}")
     return 0
 
@@ -269,11 +262,7 @@ def cmd_study(args) -> int:
         rows.append([n, eps or 0.0, sol.diagnostics.regularization, sol.residual_norm,
                      integral, ref, (integral - ref) / abs(ref),
                      time.perf_counter() - start])
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STUDY_HEADER)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
+    textio.write_csv(args.output, STUDY_HEADER, rows)
     for row in rows:
         print(f"N={row[0]}: integral={row[4]:.8g} rel_err={row[6]:.3e} ({row[7]:.2f}s)")
     print(f"wrote {len(rows)} study rows to {args.output}")

@@ -204,8 +204,6 @@ def assemble_riemann_system(interior_queries: PointCloud, exterior_queries: Poin
     absorbs the compact-manifold constant. Both query classes are required,
     otherwise the offset column and the weights are confounded.
     """
-    if len(interior_queries) < 1 or len(exterior_queries) < 1:
-        raise ValueError("need at least one interior and one exterior query")
     queries = np.vstack([interior_queries.points, exterior_queries.points])
     A = double_layer(model.field, queries, sample.points, sample.conormals)
     A = np.hstack([A, np.ones((A.shape[0], 1))])

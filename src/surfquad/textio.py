@@ -10,7 +10,8 @@ construction (`collar eps=...`, `tube r=... q=... eps=...`, `manifold=s2`,
 A data line that does not read is named by its line number in the file, and
 a header tag that does not read by the file and the tag.
 Floats are written with 17 significant digits so files round-trip losslessly
-and regeneration under identical flags is byte-identical.
+and regeneration under identical flags is byte-identical; ``write_csv``
+writes the command-line tables (indicator, study) in the same 17 digits.
 """
 
 from dataclasses import dataclass
@@ -56,18 +57,27 @@ def _parse(path):
         raise ValueError(f"{path}: no data rows")
     try:
         return np.loadtxt(rows, ndmin=2, comments=None), meta, flags
-    except ValueError as exc:
-        # name the first ragged or non-numeric data line by its line in the file
+    except ValueError:
+        # name the first unreadable or ragged data line by its line in the file,
+        # read alone by the parser that failed
         width = len(rows[0].split())
-        for number, tokens in zip(numbers, map(str.split, rows)):
+        for number, row in zip(numbers, rows):
             try:
-                list(map(float, tokens))
+                np.loadtxt([row], comments=None)
             except ValueError as bad:
-                raise ValueError(f"{path}, line {number}: {bad}") from None
-            if len(tokens) != width:
-                raise ValueError(f"{path}, line {number}: {len(tokens)} values, "
+                why = str(bad).replace(" at row 0,", ",")  # row 0 of the one-line read
+                raise ValueError(f"{path}, line {number}: {why}") from None
+            if len(row.split()) != width:
+                raise ValueError(f"{path}, line {number}: {len(row.split())} values, "
                                  f"the first data line has {width}") from None
-        raise ValueError(f"{path}: {exc}") from None
+        raise
+
+
+def write_csv(path, header: list, rows):
+    """Header and rows as CSV, CRLF-ended as csv's excel dialect; floats by _FMT, else by str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row) + "\r\n")
 
 
 def header_tag(path, meta: dict, key: str, kind=int, default=None):

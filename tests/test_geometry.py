@@ -455,3 +455,27 @@ def test_all_generators_emit_unit_normals(make):
     sample = make()
     lengths = np.linalg.norm(sample.normals, axis=1)
     assert np.max(np.abs(lengths - 1.0)) < 1e-12
+
+
+# --- refusals: each bad input is refused with a message that names it -----------
+
+REFUSALS = {
+    "points-of-rank-3": (lambda: PointCloud(np.zeros((2, 2, 3))),
+                         "expected a (count, dim) array, got shape (2, 2, 3)"),
+    "normals-of-another-count": (lambda: OrientedSample(PointCloud([[1.0, 0, 0], [0, 1.0, 0]]),
+                                                        [[1.0, 0, 0]]),
+                                 "normals must match points in count and dimension"),
+    "frames-of-rank-2": (lambda: FramedSample(PointCloud([[1.0, 0, 0]]), [[0, 0, 1.0]]),
+                         "frames must have shape (count, codim, dim)"),
+    "frames-of-full-codim": (lambda: FramedSample(PointCloud([[1.0, 0, 0]]), np.eye(3)[None]),
+                             "codimension must satisfy 1 <= r < ambient dimension"),
+    "sphere-spec-in-r2": (lambda: sphere_spec(2), "ambient dimension must be at least 3"),
+    "cap-spec-angle-0": (lambda: s2_cap_spec(0.0), "cap angle must lie in (0, pi)"),
+    "sphere-nd-count-0": (lambda: gen_sphere_nd(0, 3, seed=1), "count must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("make, message", REFUSALS.values(), ids=REFUSALS)
+def test_bad_input_is_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

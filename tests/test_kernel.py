@@ -60,6 +60,8 @@ def test_singular_evaluation_raises():
         fundamental_solution(p, p, cfg)
     with pytest.raises(SingularEvaluationError):
         double_layer_row(p, p, cfg)
+    with pytest.raises(SingularEvaluationError, match="^coincident query/sample point$"):
+        double_layer_block(np.array([[0.5, 0, 0], p]), np.array([[0.0, 0, 1], p]), cfg)
 
 
 def test_double_layer_row_axis_value():
@@ -441,3 +443,8 @@ def test_homogeneity(scale):
 def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(2)
+
+
+def test_block_refuses_points_of_another_dimension():
+    with pytest.raises(ValueError, match="^query/sample dimension does not match kernel config$"):
+        double_layer_block(np.zeros((1, 2)), np.ones((1, 3)), KernelConfig(3))

@@ -1,5 +1,7 @@
 """Sphere Green-gradient identities, cap quadrature, and the cap pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -371,3 +373,18 @@ def test_pipeline_integrates_named_moments():
     sol = solve_manifold_boundary(sample, SphereModel(), qi, qe)
     x2 = integrate_function(sample.points[:, 0] ** 2, sol)
     assert x2 == pytest.approx(np.pi, rel=0.05)  # equator: pi * sin^3(alpha)
+
+
+REFUSALS = {
+    "boundary-count-0": (lambda: cap_boundary_sample(1.0, 0), "count must be at least 1"),
+    "query-angle-0": (lambda: cap_query_points(0.0, 10, 1), "cap angle must lie in (0, pi)"),
+    "query-count-0": (lambda: cap_query_points(1.0, 0, 1), "count must be at least 1"),
+    "query-side": (lambda: cap_query_points(1.0, 10, 1, side="boundary"),
+                   "side must be 'interior' or 'exterior'"),
+}
+
+
+@pytest.mark.parametrize("make, message", REFUSALS.values(), ids=REFUSALS)
+def test_bad_cap_input_is_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

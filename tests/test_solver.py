@@ -15,9 +15,9 @@ from surfquad.kernel import KernelConfig
 from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_boundary_sample,
                                  cap_query_points)
 from surfquad.solver import (LOAD_TILE, QR_BLOCK, IndicatorSystem, NegativeWeightPolicy,
-                             _matvec, _tikhonov_qr, _tikhonov_solve, assemble_scalar_system,
-                             assemble_vector_system, indicator_values, integrate_function,
-                             solve_weights)
+                             SolveDiagnostics, WeightSolution, _matvec, _tikhonov_qr,
+                             _tikhonov_solve, assemble_scalar_system, assemble_vector_system,
+                             indicator_values, integrate_function, solve_weights)
 
 
 def _cloud(count, dim):
@@ -586,3 +586,15 @@ def test_integrate_function_length_mismatch(exact_sphere_weights):
     _, solution = exact_sphere_weights(100)
     with pytest.raises(ValueError):
         integrate_function(np.ones(99), solution)
+
+
+def test_system_refuses_an_rhs_of_another_length():
+    sample = gen_fibonacci_sphere(2)
+    with pytest.raises(ValueError, match="^matrix rows and rhs length must agree$"):
+        IndicatorSystem(np.ones((2, 2)), np.ones(3), sample)
+
+
+@pytest.mark.parametrize("tau", [-1e-300, np.nan])
+def test_solution_refuses_a_tau_that_is_not_nonnegative(tau):
+    with pytest.raises(ValueError, match="^tau must be nonnegative$"):
+        WeightSolution(np.zeros((1, 3)), np.array([tau]), 0.0, SolveDiagnostics(1, 1, 0.0, 0))

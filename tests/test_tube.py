@@ -1,5 +1,7 @@
 """Tube boundary construction and the 1/s_r integration rule."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,13 @@ def test_codim1_tube_matches_collar_limit():
         res = solve_collar(collar, queries)
     collar_area = integrate_with_boundary(np.ones(1000), res.front_tau, res.back_tau)
     assert abs(tube_area - collar_area) <= 0.02 * collar_area
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SphereDirections(np.ones(3), 1.0), "directions must be a (q, r) array"),
+    (lambda: sample_normal_sphere(0, 4, 0.1), "codimension must be at least 1"),
+    (lambda: tube_sphere_measure(0, 0.1), "codimension must be at least 1"),
+], ids=["directions-of-rank-1", "sphere-codim-0", "measure-codim-0"])
+def test_bad_direction_input_is_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
