@@ -40,6 +40,7 @@ class _Fixture:
     # (args, sample) -> SurfaceSpec; the sample fixes the dimension and the cap angle
     spec: Callable
     reads: dict = field(default_factory=dict)  # the flags it reads, with their defaults
+    study: dict = field(default_factory=dict)  # `study`'s query-draw flag defaults
 
 
 # a sample file does not record its ellipsoid's axes; a point this far from
@@ -65,8 +66,10 @@ def _ellipsoid_fixture_spec(args, sample):
 
 
 _FIXTURES = {
+    # the study draws closer queries than the deep-interior default: it should
+    # expose the resolution-limited error, not the machine floor
     "sphere": _Fixture("closed", lambda a, n: gen_fibonacci_sphere(n),
-                       lambda a, s: sphere_spec()),
+                       lambda a, s: sphere_spec(), study={"query_count": 300, "margin": 0.3}),
     "sphere-nd": _Fixture("closed", lambda a, n: gen_sphere_nd(n, a.dim, a.seed),
                           lambda a, s: sphere_spec(s.dim), {"dim": 3}),
     "ellipsoid": _Fixture("closed", lambda a, n: gen_ellipsoid(a.a, a.b, a.c, n, a.seed),
@@ -134,17 +137,14 @@ def _read_sample(args, fixture: _Fixture | None, pipeline: str):
     return sample, fixture.spec(args, sample) if fixture else None
 
 
-def _solve(row: Pipeline, sample, spec, args, seed: int, study: bool = False):
+def _solve(row: Pipeline, sample, spec, args, seed: int):
     """eps -> solid -> queries -> solve, the chain `weights` and `study` share."""
     eps = row.epsilon(sample, args.epsilon)
     built = row.build(sample, eps, args.q_directions)
     vector = args.mode == "vector"
-    count = args.query_count
-    if count is None:
-        count = (study and row.study_query_count) or row.query_count(sample, vector)
-    margin = row.study_margin if study and args.margin is None else args.margin
+    count = row.query_count(sample, vector) if args.query_count is None else args.query_count
     queries = (textio.read_cloud(args.queries) if args.queries else
-               row.queries(sample, spec, count, seed, eps, margin))
+               row.queries(sample, spec, count, seed, eps, args.margin))
     return eps, built, row.solve(built, queries, vector, args.regularization)
 
 
@@ -251,13 +251,16 @@ def cmd_study(args) -> int:
     if not sizes:
         raise SurfquadError("empty --sizes list")
     fixture, row = _rows(args)
+    for key, default in fixture.study.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     rows = []
     for i, n in enumerate(sizes):
         start = time.perf_counter()
         sample = fixture.generate(args, n)
         spec = fixture.spec(args, sample)
         ref = spec.analytic_integrals["const1"]
-        eps, built, sol = _solve(row, sample, spec, args, args.seed + i, study=True)
+        eps, built, sol = _solve(row, sample, spec, args, args.seed + i)
         integral = row.total(np.ones(len(sample)), sol.tau, built)
         rows.append([n, eps or 0.0, sol.diagnostics.regularization, sol.residual_norm,
                      integral, ref, (integral - ref) / abs(ref),
@@ -325,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (w, st):
         p.add_argument("--q-directions", type=int)
         p.add_argument("--lambda", dest="regularization", type=float,
-                       help="Tikhonov weight (default: 1e-6 * max|A|)")
+                       help="Tikhonov weight (default: 1e-6 * max|A|, by point block if vector)")
     return parser
 
 

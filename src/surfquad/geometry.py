@@ -95,10 +95,6 @@ class OrientedSample(_AttachedSample):
         require_within(np.abs(np.linalg.norm(nrm, axis=1) - 1.0), UNIT_NORMAL_TOL,
                        "normals must have unit length within 1e-12")
 
-    def flipped(self) -> "OrientedSample":
-        """Same points, of the same sample type, with every normal negated."""
-        return type(self)(self.cloud, -self.normals)
-
 
 @dataclass(frozen=True)
 class FramedSample(_AttachedSample):

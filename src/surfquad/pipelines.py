@@ -135,9 +135,6 @@ class Pipeline:
     total: Callable = lambda f, tau, built: float(np.dot(f, tau))
     # ambient dim -> the double-layer field the indicator evaluates
     field: Callable = lambda dim: KernelConfig(dim).field
-    # `study` defaults where they differ from `weights`
-    study_query_count: int | None = None
-    study_margin: float | None = None
 
     def epsilon(self, sample, epsilon: float | None) -> float | None:
         """None where the row reads no "epsilon", else epsilon, or default_epsilon(sample)."""
@@ -152,10 +149,7 @@ PIPELINES = {
             solve_closed_vector(s.cloud, queries, lam) if vector
             else solve_closed_scalar(s, queries, lam)),
         reads=frozenset({"queries", "vector"}),
-        query_count=lambda s, vector: (s.dim if vector else 2) * len(s),
-        # closer queries than the deep-interior default: the study should
-        # expose the resolution-limited error, not the machine floor
-        study_query_count=300, study_margin=0.3),
+        query_count=lambda s, vector: (s.dim if vector else 2) * len(s)),
     "collar": Pipeline(
         solve=lambda s, queries, vector, lam: solve_collar(s, queries, lam).solution,
         reads=frozenset({"queries", "epsilon"}),

@@ -3,9 +3,9 @@
 Vector systems carry one R^n unknown mu_j per sample point (columns grouped
 per point); scalar systems use known normals and solve for the elements
 tau_j directly. The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2, with
-lambda a plain float (None: 1e-6 max|A|), through one Householder QR of
-[lambda I; M], with M = A (tall, m >= n) or A^T (wide), so Q is never
-formed. For M of r x k it costs about 2 k^2 r flops:
+lambda a plain float (None: 1e-6 max|A|, by point block if vector), through
+one Householder QR of [lambda I; M], with M = A (tall, m >= n) or A^T
+(wide), so Q is never formed. For M of r x k it costs about 2 k^2 r flops:
 
 - tall: [lambda I, 0; A, b] = Q [R, c; 0, d]. The last column [0; b] is
   factored with the rest, so the reflectors leave c = Q^T [0; b] in R's
@@ -330,7 +330,8 @@ def solve_weights(system: IndicatorSystem, regularization: float | None = None, 
                   ) -> WeightSolution:
     """Solve the indicator system and unpack mu/tau on the system's sample.
 
-    regularization is lambda >= 0, None for 1e-6 * max|A|; A must be finite.
+    regularization is lambda >= 0, None for 1e-6 * max|A| (vector systems: the
+    largest 2-norm of a row's block of one point's n columns); A must be finite.
     Scalar unknowns give mu_j = tau_j N(y_j), after policy has ruled on the
     negative raw weights.
     """
@@ -343,6 +344,10 @@ def solve_weights(system: IndicatorSystem, regularization: float | None = None, 
     scale = float(max(A.max(), -A.min()))
     if not scale < np.inf:
         raise ValueError("system matrix holds a non-finite entry")
+    if regularization is None and not isinstance(sample, OrientedSample):
+        # a rotation of sample and queries rotates each block and keeps its norm
+        blocks = A.reshape(len(A), len(sample), sample.dim)
+        scale = float(np.sqrt(np.einsum("ijk,ijk->ij", blocks, blocks).max()))
     lam = _AUTO_SCALE * scale if regularization is None else regularization
 
     w = _tikhonov_solve(A, b, lam)

@@ -865,6 +865,26 @@ def test_study_csv_schema_and_roundtrip(tmp_path):
         assert abs(r[6]) < 0.02
 
 
+@pytest.mark.parametrize("flags", ["", "--query-count 400", "--margin 0.35",
+                                   "--query-count 400 --margin 0.35"])
+def test_sphere_study_is_the_weights_run_its_query_defaults_name(tmp_path, flags):
+    # the sphere study draws 300 queries at margin 0.3 unless told otherwise,
+    # with query seed --seed (100) at its first size
+    s, w, out = tmp_path / "s.txt", tmp_path / "w.txt", tmp_path / "study.csv"
+    assert run(["study", "--fixture", "sphere", "--sizes", 200, *flags.split(), "-o", out]) == 0
+    draw = {"--query-count": "300", "--margin": "0.3", "--query-seed": "100",
+            **dict(zip(flags.split()[::2], flags.split()[1::2]))}
+    assert run(["generate", "--fixture", "sphere", "--count", 200, "-o", s]) == 0
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
+                *[v for item in draw.items() for v in item], "-o", w]) == 0
+    # contiguous, as the solve's tau is: np.dot sums a strided column of the
+    # file's table in another order, and misses study's sum by an ulp or two
+    tau = np.ascontiguousarray(textio.read_weights(w).tau)
+    with open(out, newline="") as fh:
+        integral = float(next(csv.DictReader(fh))["integral"])
+    assert integral == float(np.dot(np.ones(len(tau)), tau))
+
+
 def test_study_rel_err_keeps_its_sign(tmp_path, capsys):
     # the default tube eps leaves the circle's length about 0.7% short at N=50
     out = tmp_path / "study.csv"
@@ -941,6 +961,8 @@ _VECTOR = _breach("14 and 16", "vector mode on an irregular sample prints a wron
                  id="sphere-nd-4"),  # +2.49, warns
     pytest.param("ellipsoid", "closed", "--count 400 --seed 3", "--a 1 --b 1.5 --c 2", "",
                  id="ellipsoid"),  # +65.6, warns
+    pytest.param("sphere", "closed", "--count 600 --seed 1", "", "--mode vector",
+                 id="vector-sphere"),  # 6.60e-5
     pytest.param("sphere-nd", "closed", "--count 600 --seed 2", "", "--mode vector",
                  id="vector-sphere-nd-3", marks=_VECTOR),  # +0.38
     pytest.param("sphere-nd", "closed", "--count 300 --seed 2 --dim 4", "", "--mode vector",

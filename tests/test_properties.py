@@ -120,7 +120,7 @@ def _mapped(kind, sample, queries):
         perm = np.random.default_rng(5).permutation(len(Y))
         return Y[perm], N[perm], X, lambda tau: tau[perm]
     # the kernel is homogeneous of degree 1 - n, and the default lambda
-    # 1e-6 max|A| scales with it
+    # scales with it
     return _SCALE * Y, N, _SCALE * X, lambda tau: _SCALE ** (sample.dim - 1) * tau
 
 
@@ -154,18 +154,15 @@ def test_scalar_weights_commute_with_rotation_permutation_and_scale(case, kind):
 @pytest.mark.parametrize("kind", ["permutation", "scale"])
 @pytest.mark.parametrize("case", list(CLOSED_CASES))
 def test_vector_weights_commute_with_permutation_and_scale(case, kind):
-    # measured 3.1e-10 to 9.9e-8
+    # measured 3.3e-10 to 9.8e-8
     assert _weight_defect(case, kind, vector=True) <= 1e-6
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 14: vector weights on irregular "
-                          "samples move under a rotation")
 @pytest.mark.parametrize("case", list(CLOSED_CASES))
 def test_vector_weights_stay_under_rotation(case):
-    # measured 9.1e-4 to 8.5e-3. The rotated system is A (I x Q^T), which the
-    # Tikhonov minimizer follows exactly, but the default lambda 1e-6 max|A|
-    # reads single coordinates of the rotated K and moves by up to 3.1%; at
-    # one fixed lambda the defect is 2.1e-10 to 2.5e-8, so these weights are
-    # set by lambda, not by the indicator rows
+    # measured 2.6e-10 to 1.2e-8. The rotated system is A (I x Q^T), which the
+    # Tikhonov minimizer follows exactly, and the default lambda reads the
+    # 2-norms of a row's point blocks, which the rotation keeps; a lambda read
+    # off single coordinates of K moves by up to 3.1%, and the weights by up
+    # to 8.5e-3, with it
     assert _weight_defect(case, "rotation", vector=True) <= 1e-6

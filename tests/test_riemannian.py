@@ -202,10 +202,6 @@ def test_cap_sample_is_an_oriented_sample():
     assert isinstance(sample, OrientedSample)
     assert sample.conormals is sample.normals
     assert len(sample) == 16 and sample.dim == 3
-    # the flipped conormals bound the complementary cap
-    flipped = sample.flipped()
-    assert type(flipped) is ManifoldBoundarySample
-    assert np.array_equal(flipped.conormals, -sample.conormals)
 
 
 def test_conormal_off_unit_length_rejected():

@@ -79,7 +79,7 @@ def test_scalar_assembly_entry_and_flip():
     system = assemble_scalar_system(q, s, KernelConfig(3))
     assert system.matrix[0, 0] == pytest.approx(1.0 / (4.0 * np.pi))
     assert system.rhs.tolist() == [1.0]
-    flipped = assemble_scalar_system(q, s.flipped(), KernelConfig(3))
+    flipped = assemble_scalar_system(q, OrientedSample(s.cloud, -s.normals), KernelConfig(3))
     assert np.allclose(flipped.matrix, -system.matrix)
 
 
@@ -524,9 +524,25 @@ def test_auto_regularization_recorded():
 def test_auto_regularization_is_exactly_scaled_abs_max(sign):
     # the largest magnitude is an entry of either sign
     A = sign * np.array([[0.5, -3.0, 1.0], [2.0, 0.25, -1.5]])
-    system = _vector_system(A, np.ones(2), 3)
-    sol = solve_weights(system)
+    system = _scalar_system(A, np.ones(2))
+    # either sign leaves a negative raw weight, which the clamp removes
+    with pytest.warns(ClampedMassWarning, match="clamping"):
+        sol = solve_weights(system)
     assert sol.diagnostics.regularization == 1e-6 * np.max(np.abs(A))
+
+
+def test_auto_regularization_of_a_vector_system_is_its_largest_point_block():
+    # two points in R^3: the block norms are sqrt(10.25), sqrt(6.3125),
+    # sqrt(12.75) and sqrt(3), and the largest entry, 3, sits in another block
+    A = np.array([[0.5, -3.0, 1.0, 2.0, 0.25, -1.5], [-2.5, 2.5, 0.5, 1.0, 1.0, 1.0]])
+    lam = solve_weights(_vector_system(A, np.ones(2), 3)).diagnostics.regularization
+    assert lam == 1e-6 * np.sqrt(12.75)
+    # rotating every point's block keeps it
+    c, s = np.cos(0.7), np.sin(0.7)
+    Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rotated = (A.reshape(2, 2, 3) @ Q.T).reshape(2, 6)
+    sol = solve_weights(_vector_system(rotated, np.ones(2), 3))
+    assert sol.diagnostics.regularization == pytest.approx(lam, rel=1e-14)
 
 
 # --- indicator and integration -----------------------------------------------
