@@ -51,7 +51,11 @@ class PointCloud:
             raise ValueError("point cloud must contain at least one point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        # sorted by their columns, equal rows sit side by side, and == holds
+        # -0.0 equal to 0.0. np.unique(axis=0) sorts rows as records and took
+        # 2.2-2.5 times as long at 2000-4000 points
+        rows = pts[np.lexsort(pts.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValueError("point cloud contains duplicate points")
 
     @property

@@ -36,6 +36,8 @@ Neither needs an SVD. Plain least squares (lambda = 0) is the tall path
 with a zero slot. It refuses a wide system, which has a null space, and
 R with a reciprocal condition estimate (dtrcon, 1-norm) <= machine eps.
 A^T z and A w run on scipy's BLAS, as dgeqrt does (README, numerical notes).
+scipy.linalg is loaded by the first solve, not by import surfquad: reading
+weights, integrating and evaluating the indicator run on numpy alone.
 """
 
 import os
@@ -45,7 +47,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ClampedMassWarning, IllPosedSystemError
 from .geometry import OrientedSample, PointCloud
@@ -239,6 +240,8 @@ def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
 
 def _matvec(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
     """A x, or A^T x with trans, by scipy's dgemv on whichever of A, A^T is F-ordered."""
+    import scipy.linalg as sla  # loaded by the first solve, not by import surfquad
+
     if A.flags.f_contiguous:
         return sla.blas.dgemv(1.0, A, x, trans=trans)
     return sla.blas.dgemv(1.0, A.T, x, trans=not trans)
@@ -255,6 +258,8 @@ def _tikhonov_qr(M: np.ndarray, lam: float, b: np.ndarray | None = None
     start of the first column that later blocks still read. c is a k-vector
     of its own. The LAPACK calls write only the work array, never M or b.
     """
+    import scipy.linalg as sla
+
     r, k = M.shape
     tall = b is not None
     work = np.empty((QR_BLOCK + r, k + tall), order="F")
@@ -267,6 +272,7 @@ def _tikhonov_qr(M: np.ndarray, lam: float, b: np.ndarray | None = None
         work[QR_BLOCK:, k] = b
     flat = work.reshape(-1, order="F")
     c = np.empty(k) if tall else None
+    lower = np.tri(QR_BLOCK, k=-1, dtype=bool)
     for j0 in range(0, k, QR_BLOCK):
         j1 = min(j0 + QR_BLOCK, k)
         w = j1 - j0
@@ -282,10 +288,13 @@ def _tikhonov_qr(M: np.ndarray, lam: float, b: np.ndarray | None = None
         if info != 0:
             raise ValueError(f"LAPACK: illegal value in argument {-info}")
         # the slot is zero below its diagonal, and no reflector of the block
-        # has a component there, so its rows are R's rows as they stand.
-        # They are copied out first: on square systems flat[j0 k : j1 k]
-        # overlaps the block's own panel
-        rows = np.triu(work[:w, j0:k])
+        # has a component there, so its rows are R's rows as they stand; the
+        # reflector parts that dgeqrt stores below the w x w corner's
+        # diagonal are zeros, which the copy sets to +0.0 whatever their
+        # sign. They are copied out first: on square systems
+        # flat[j0 k : j1 k] overlaps the block's own panel
+        rows = work[:w, j0:k].copy()
+        np.copyto(rows[:, :w], 0.0, where=lower[:w, :w])
         if tall:
             c[j0:j1] = work[:w, k]
         dest = flat[j0 * k:j1 * k].reshape(w, k)
@@ -295,6 +304,8 @@ def _tikhonov_qr(M: np.ndarray, lam: float, b: np.ndarray | None = None
 
 
 def _tikhonov_solve(A: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    import scipy.linalg as sla
+
     if A.shape[0] < A.shape[1]:
         if lam == 0.0:
             raise IllPosedSystemError(f"{A.shape[0]} rows cannot fix {A.shape[1]} unknowns "

@@ -167,8 +167,10 @@ def read_weights(path) -> WeightRecord:
     if data.shape[1] != 2 * dim + 1:
         raise ValueError(f"{path}: expected {2 * dim + 1} columns (point, normal, tau)")
     offset = header_tag(path, meta, "offset", float)
-    record = WeightRecord(points=data[:, :dim], normals=data[:, dim:-1],
-                          tau=data[:, -1], offset=offset,
+    # C-contiguous copies, as a solve's own arrays are: np.dot sums a strided
+    # tau in another order, and would miss Pipeline.total by an ulp or two
+    record = WeightRecord(points=data[:, :dim].copy(), normals=data[:, dim:-1].copy(),
+                          tau=data[:, -1].copy(), offset=offset,
                           meta=meta, flags=frozenset(flags))
     for block in ("points", "normals", "tau", "offset"):
         value = getattr(record, block)

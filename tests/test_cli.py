@@ -1,12 +1,17 @@
 """Command-line behavior: determinism, file products, error exits."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfquad
 from conftest import s3_boundary
 from surfquad import textio
 from surfquad.errors import ClampedMassWarning
@@ -849,6 +854,45 @@ def test_indicator_on_tube_weights(tmp_path):
     assert np.max(np.abs(chi[40:])) < 0.01
 
 
+# reads a closed-sphere weight file, evaluates and integrates it, runs the
+# integrate and indicator commands, then solves once; prints whether
+# scipy.linalg was loaded before the solve and after it
+_NUMPY_ALONE = """
+import sys
+import numpy as np
+from surfquad import textio
+from surfquad.cli import main
+from surfquad.geometry import PointCloud
+from surfquad.kernel import KernelConfig
+from surfquad.solver import (SolveDiagnostics, WeightSolution, assemble_scalar_system,
+                             indicator_values, integrate_function, solve_weights)
+s, w, q, out = sys.argv[1:]
+rec = textio.read_weights(w)
+queries = textio.read_cloud(q)
+sol = WeightSolution(mu=rec.tau[:, None] * rec.normals, tau=rec.tau, residual_norm=0.0,
+                     diagnostics=SolveDiagnostics(0, len(rec.tau), 0.0, 0))
+indicator_values(queries, PointCloud(rec.points), sol, KernelConfig(3))
+integrate_function(np.ones(len(rec.tau)), sol)
+assert main(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere"]) == 0
+assert main(["indicator", "--weights", w, "--queries", q, "-o", out]) == 0
+print("scipy.linalg" in sys.modules)
+solve_weights(assemble_scalar_system(queries, textio.read_oriented(s), KernelConfig(3)))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_reading_integrating_and_probing_weights_leave_lapack_unloaded(tmp_path):
+    s, w, q = tmp_path / "s.txt", tmp_path / "w.txt", tmp_path / "q.txt"
+    run(["generate", "--fixture", "sphere", "--count", 300, "-o", s,
+         "--queries", q, "--query-count", 40, "--query-seed", 4])
+    assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
+                "-o", w]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(surfquad.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ALONE, s, w, q, tmp_path / "chi.csv"],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.splitlines()[-2:] == ["False", "True"]
+
+
 def test_study_csv_schema_and_roundtrip(tmp_path):
     out = tmp_path / "study.csv"
     assert run(["study", "--fixture", "sphere", "--sizes", "100,200,400",
@@ -877,9 +921,7 @@ def test_sphere_study_is_the_weights_run_its_query_defaults_name(tmp_path, flags
     assert run(["generate", "--fixture", "sphere", "--count", 200, "-o", s]) == 0
     assert run(["weights", "--pipeline", "closed", "--sample", s, "--fixture", "sphere",
                 *[v for item in draw.items() for v in item], "-o", w]) == 0
-    # contiguous, as the solve's tau is: np.dot sums a strided column of the
-    # file's table in another order, and misses study's sum by an ulp or two
-    tau = np.ascontiguousarray(textio.read_weights(w).tau)
+    tau = textio.read_weights(w).tau
     with open(out, newline="") as fh:
         integral = float(next(csv.DictReader(fh))["integral"])
     assert integral == float(np.dot(np.ones(len(tau)), tau))

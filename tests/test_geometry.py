@@ -22,8 +22,13 @@ from surfquad.tube import SphereDirections
 
 
 def test_point_cloud_rejects_duplicates():
-    with pytest.raises(ValueError):
-        PointCloud(np.array([[0.0, 0, 1], [0.0, 0, 1]]))
+    # side by side; apart in input order, with rows between them on either
+    # side of theirs in every column; equal but for the sign of a zero
+    for points in ([[0.0, 0, 1], [0.0, 0, 1]],
+                   [[1.0, 2, 3], [0.0, 9, 1], [2.0, 0, 5], [1.0, 2, 3]],
+                   [[3.0, 0.0, 1], [2.0, 5, 5], [3.0, -0.0, 1]]):
+        with pytest.raises(ValueError, match="duplicate"):
+            PointCloud(np.array(points))
 
 
 def test_point_cloud_rejects_nonfinite():
@@ -221,9 +226,10 @@ def test_ellipsoid_area_is_symmetric_and_scales_quadratically():
 
 
 def test_import_leaves_quadrature_and_optimizers_unloaded():
+    # no scipy module at all: scipy.linalg waits for the first solve,
+    # scipy.spatial and scipy.special for the functions that call them
     code = ("import sys, surfquad; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft', "
-            "'scipy.spatial', 'scipy.special') if m in sys.modules])")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(surfquad.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
