@@ -93,7 +93,8 @@ def _rows(args, pipeline: str | None = None):
     """The --fixture row (None without one) and the pipeline row, the fixture's by default.
 
     A flag that another row of a table reads, or a query-draw flag where no
-    draw happens, is refused; omitted fixture flags and draw seeds take defaults.
+    draw happens, is refused; omitted fixture flags and draw seeds take defaults,
+    and under `study` omitted draw flags take the fixture's study defaults.
     """
     fixture = _FIXTURES.get(args.fixture)
     pipeline = pipeline or (fixture.pipeline if fixture else None)
@@ -122,7 +123,8 @@ def _rows(args, pipeline: str | None = None):
                             if generate else "a --queries file replaces the query draw"))
     if draws and getattr(args, "query_seed", 0) is None:
         args.query_seed = 1
-    for key, default in (fixture.reads.items() if fixture else ()):
+    study = fixture.study if args.command == "study" else {}
+    for key, default in ({**fixture.reads, **study}.items() if fixture else ()):
         if getattr(args, key, None) is None:
             setattr(args, key, default)
     return fixture, PIPELINES.get(pipeline)
@@ -251,9 +253,11 @@ def cmd_study(args) -> int:
     if not sizes:
         raise SurfquadError("empty --sizes list")
     fixture, row = _rows(args)
-    for key, default in fixture.study.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
+    # what every size's solve (and epsilon's spacing) loads, loaded before the
+    # clock starts, so that no size's seconds hold a one-time import
+    import scipy.linalg  # noqa: F401
+    if "epsilon" in row.reads:
+        import scipy.spatial  # noqa: F401
     rows = []
     for i, n in enumerate(sizes):
         start = time.perf_counter()

@@ -30,8 +30,6 @@ def require_within(defect, tol: float, message: str) -> None:
 def _as_points(points) -> np.ndarray:
     # copy before locking writes so the caller's array is left untouched
     pts = np.array(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     if pts.ndim != 2:
         raise ValueError(f"expected a (count, dim) array, got shape {pts.shape}")
     return pts

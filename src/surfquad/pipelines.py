@@ -26,19 +26,19 @@ from .riemannian import (ManifoldBoundarySample, SphereModel, assemble_riemann_s
                          cap_angle, cap_query_points)
 from .solver import (NegativeWeightPolicy, WeightSolution, assemble_scalar_system,
                      assemble_vector_system, solve_weights)
-from .tube import TubeSample, build_tube, integrate_codim, sample_normal_sphere
+from .tube import TubeSample, integrate_codim, sample_normal_sphere
 
 def solve_closed_scalar(sample: OrientedSample, queries: PointCloud,
                         regularization: float | None = None) -> WeightSolution:
     """Scalar-unknown solve for a closed oriented hypersurface."""
-    system = assemble_scalar_system(queries, sample, KernelConfig(sample.dim))
+    system = assemble_scalar_system(queries, sample)
     return solve_weights(system, regularization)
 
 
 def solve_closed_vector(sample: PointCloud, queries: PointCloud,
                         regularization: float | None = None) -> WeightSolution:
     """Vector-unknown solve; recovers both elements and orientations."""
-    system = assemble_vector_system(queries, sample, KernelConfig(sample.dim))
+    system = assemble_vector_system(queries, sample)
     return solve_weights(system, regularization)
 
 
@@ -59,7 +59,7 @@ def solve_collar(collar: CollarSample, queries: PointCloud,
     geometry.nearest_gaps guarded), whose normals point out of the solid, so
     interior queries pair with rhs = 1 and positive elements.
     """
-    system = assemble_scalar_system(queries, collar.boundary, KernelConfig(collar.boundary.dim))
+    system = assemble_scalar_system(queries, collar.boundary)
     # Near-antiparallel face pairs make the sign of a raw collar weight pure
     # orientation noise; flipping it to its magnitude (instead of clamping)
     # preserves the pair sums the half-sum rule needs.
@@ -70,7 +70,7 @@ def solve_collar(collar: CollarSample, queries: PointCloud,
 
 def solve_tube(tube: TubeSample, queries: PointCloud,
                regularization: float | None = None) -> WeightSolution:
-    """Scalar solve over the tube boundary (slice normals are outward already)."""
+    """Scalar solve over the tube boundary (its slice normals point out of the tube)."""
     return solve_closed_scalar(tube.boundary, queries, regularization)
 
 
@@ -87,7 +87,7 @@ def _read_cap(path) -> ManifoldBoundarySample:
     return ManifoldBoundarySample(sample.cloud, sample.normals)
 
 
-def _build_tube(base, eps, q_directions):
+def _tube(base, eps, q_directions):
     q = 16 if q_directions is None else q_directions
     # the codim-1 direction sphere is the two points +-eps, whatever q is asked for
     if base.codim == 1 and q_directions not in (None, 2):
@@ -95,7 +95,7 @@ def _build_tube(base, eps, q_directions):
     if base.codim == 2 and q < 8:
         raise SurfquadError("codimension-2 tubes need at least 8 directions "
                             "to keep the slice system conditioned")
-    return build_tube(base, sample_normal_sphere(base.codim, q, eps))
+    return TubeSample(base, sample_normal_sphere(base.codim, q, eps))
 
 
 def _interior(sample, spec, count, seed, eps, margin) -> PointCloud:
@@ -166,7 +166,7 @@ PIPELINES = {
         reads=frozenset({"queries", "epsilon", "q_directions"}),
         query_count=lambda s, vector: 2 * len(s),
         read=textio.read_framed, write=textio.write_framed,
-        build=_build_tube, weighted=lambda tube: tube.boundary,
+        build=_tube, weighted=lambda tube: tube.boundary,
         total=lambda f, tau, tube: integrate_codim(f, tau, tube.directions),
         tag=lambda tube: (f"tube r={tube.directions.codim} q={tube.directions.count} "
                           f"eps={tube.directions.epsilon:.17g}")),

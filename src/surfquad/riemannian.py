@@ -76,6 +76,8 @@ class SphereModel:
         the samples permutes the rows bit for bit. A cap-system solver test
         pins this rounding.
         """
+        if vectors is None:
+            raise ValueError("S^2 rows need one vector per sample point")
         Q, V = np.asarray(points, dtype=float), np.asarray(vectors, dtype=float)
         if Q.shape[-1] != 3:
             raise ValueError(f"S^2 points need 3 coordinates, not {Q.shape[-1]} (sample)")

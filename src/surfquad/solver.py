@@ -2,10 +2,11 @@
 
 Vector systems carry one R^n unknown mu_j per sample point (columns grouped
 per point); scalar systems use known normals and solve for the elements
-tau_j directly. The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2, with
-lambda a plain float (None: 1e-6 max|A|, by point block if vector), through
-one Householder QR of [lambda I; M], with M = A (tall, m >= n) or A^T
-(wide), so Q is never formed. For M of r x k it costs about 2 k^2 r flops:
+tau_j directly. Both assemble the Newtonian kernel K of the sample's R^n.
+The solve minimizes ||A w - b||^2 + lambda^2 ||w||^2, with lambda a plain
+float (None: 1e-6 max|A|, by point block if vector), through one
+Householder QR of [lambda I; M], with M = A (tall, m >= n) or A^T (wide),
+so Q is never formed. For M of r x k it costs about 2 k^2 r flops:
 
 - tall: [lambda I, 0; A, b] = Q [R, c; 0, d]. The last column [0; b] is
   factored with the rest, so the reflectors leave c = Q^T [0; b] in R's
@@ -182,6 +183,8 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
     """
     if queries.shape[1] != points.shape[1]:
         raise ValueError("queries and sample must share an ambient dimension")
+    if summed and vectors is None:
+        raise ValueError("summed rows need one vector per sample point")
     if vectors is not None and np.shape(vectors) != points.shape:
         raise ValueError(f"vectors of shape {np.shape(vectors)} do not match the sample "
                          f"of shape {points.shape}: one vector per sample point")
@@ -224,17 +227,15 @@ def double_layer(field, queries: np.ndarray, points: np.ndarray,
     return out
 
 
-def assemble_vector_system(queries: PointCloud, sample: PointCloud,
-                           config: KernelConfig) -> IndicatorSystem:
+def assemble_vector_system(queries: PointCloud, sample: PointCloud) -> IndicatorSystem:
     """Rows K(x_i, y_j)_k over columns (j, k), rhs 1 at the interior queries; unknowns mu_jk."""
-    A = double_layer(config.field, queries.points, sample.points)
+    A = double_layer(KernelConfig(sample.dim).field, queries.points, sample.points)
     return IndicatorSystem(A, np.ones(len(queries)), sample)
 
 
-def assemble_scalar_system(queries: PointCloud, sample: OrientedSample,
-                           config: KernelConfig) -> IndicatorSystem:
+def assemble_scalar_system(queries: PointCloud, sample: OrientedSample) -> IndicatorSystem:
     """Rows dot(K(x_i, y_j), N(y_j)), rhs 1 at the interior queries; unknowns tau_j."""
-    A = double_layer(config.field, queries.points, sample.points, sample.normals)
+    A = double_layer(KernelConfig(sample.dim).field, queries.points, sample.points, sample.normals)
     return IndicatorSystem(A, np.ones(len(queries)), sample)
 
 

@@ -876,7 +876,7 @@ integrate_function(np.ones(len(rec.tau)), sol)
 assert main(["integrate", "--sample", s, "--weights", w, "--fixture", "sphere"]) == 0
 assert main(["indicator", "--weights", w, "--queries", q, "-o", out]) == 0
 print("scipy.linalg" in sys.modules)
-solve_weights(assemble_scalar_system(queries, textio.read_oriented(s), KernelConfig(3)))
+solve_weights(assemble_scalar_system(queries, textio.read_oriented(s)))
 print("scipy.linalg" in sys.modules)
 """
 
@@ -891,6 +891,40 @@ def test_reading_integrating_and_probing_weights_leave_lapack_unloaded(tmp_path)
     done = subprocess.run([sys.executable, "-c", _NUMPY_ALONE, s, w, q, tmp_path / "chi.csv"],
                           env=env, capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.splitlines()[-2:] == ["False", "True"]
+
+
+_STUDY_CLOCK = """
+import sys
+import time
+from surfquad import cli
+fixture, out, *modules = sys.argv[1:]
+loaded = []
+
+
+class Clock:
+    @staticmethod
+    def perf_counter():
+        loaded.append(all(name in sys.modules for name in modules))
+        return time.perf_counter()
+
+
+cli.time = Clock
+assert cli.main(["study", "--fixture", fixture, "--sizes", "100,120", "-o", out]) == 0
+print(loaded[0])
+"""
+
+
+@pytest.mark.parametrize("fixture, modules", [
+    ("sphere", ["scipy.linalg"]), ("hemisphere", ["scipy.linalg", "scipy.spatial"])])
+def test_study_seconds_start_after_the_one_time_imports(tmp_path, fixture, modules):
+    # every size's solve loads scipy.linalg, and the collar's spacing
+    # scipy.spatial: loaded inside the first size's clock, they once took
+    # 0.16 s of its seconds against 0.01 s for the next size
+    env = dict(os.environ, PYTHONPATH=str(Path(surfquad.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _STUDY_CLOCK, fixture, tmp_path / "st.csv",
+                           *modules], env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.splitlines()[-1] == "True"
 
 
 def test_study_csv_schema_and_roundtrip(tmp_path):

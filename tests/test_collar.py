@@ -10,7 +10,6 @@ from surfquad.errors import ClampedMassWarning, SelfIntersectionError
 from surfquad.geometry import (OrientedSample, PointCloud, gen_fibonacci_sphere,
                                gen_hemisphere, hemisphere_spec, interior_queries,
                                median_nn_spacing, sphere_spec)
-from surfquad.kernel import KernelConfig
 from surfquad.pipelines import solve_closed_scalar, solve_collar
 from surfquad.solver import IndicatorSystem
 
@@ -203,7 +202,7 @@ def test_hemisphere_front_back_weight_agreement():
               * (0.75 * rng.random(150) ** (1.0 / 3.0))[:, None])
     queries = PointCloud(np.vstack([shell, cavity]))
     rhs = np.concatenate([np.ones(len(shell)), np.zeros(150)])
-    A = assemble_scalar_system(queries, outward, KernelConfig(3)).matrix
+    A = assemble_scalar_system(queries, outward).matrix
     system = IndicatorSystem(A, rhs, outward)
     sol = solve_weights(system, 1.0)
     front, back = sol.tau[:2000], sol.tau[2000:]
@@ -233,7 +232,7 @@ def test_collar_on_closed_surface_consistent_with_single_copy():
     cavity = unit_dirs(300) * (0.6 * rng.random(300) ** (1.0 / 3.0))[:, None]
     queries = PointCloud(np.vstack([shell, cavity]))
     rhs = np.concatenate([np.ones(300), np.zeros(300)])
-    A = assemble_scalar_system(queries, outward, KernelConfig(3)).matrix
+    A = assemble_scalar_system(queries, outward).matrix
     system = IndicatorSystem(A, rhs, outward)
     sol = solve_weights(system, None)
     collar_area = integrate_with_boundary(np.ones(2000), sol.tau[:2000], sol.tau[2000:])

@@ -468,6 +468,11 @@ def test_all_generators_emit_unit_normals(make):
 REFUSALS = {
     "points-of-rank-3": (lambda: PointCloud(np.zeros((2, 2, 3))),
                          "expected a (count, dim) array, got shape (2, 2, 3)"),
+    # a point array is (count, dim): a lone point is one row, not a 1-D array
+    "points-of-rank-1": (lambda: PointCloud(np.zeros(3)),
+                         "expected a (count, dim) array, got shape (3,)"),
+    "normals-of-rank-1": (lambda: OrientedSample(PointCloud([[1.0, 0, 0]]), [1.0, 0, 0]),
+                          "expected a (count, dim) array, got shape (3,)"),
     "normals-of-another-count": (lambda: OrientedSample(PointCloud([[1.0, 0, 0], [0, 1.0, 0]]),
                                                         [[1.0, 0, 0]]),
                                  "normals must match points in count and dimension"),

@@ -19,6 +19,7 @@ from surfquad import solver
 from surfquad.errors import SingularEvaluationError
 from surfquad.kernel import (KernelConfig, double_layer_block, double_layer_row,
                              fundamental_solution, unit_sphere_measure)
+from surfquad.riemannian import SphereModel, cap_boundary_sample
 from surfquad.solver import CHUNK_ENTRIES, LANES, double_layer
 
 
@@ -198,6 +199,19 @@ def test_misshaped_vectors_raise_before_any_lane_starts(pools, shape, summed):
     with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*" + re.escape("(40, 3)")):
         double_layer(field, X, Y, np.ones(shape), summed=summed)
     assert log == [] and pools == []
+
+
+@pytest.mark.parametrize("model, summed, what", [
+    (KernelConfig(3), True, "summed rows"), (SphereModel(), False, "S^2 rows"),
+    (SphereModel(), True, "summed rows")], ids=["summed", "s2-rows", "summed-s2"])
+def test_rows_without_vectors_are_refused_before_any_lane_starts(pools, model, summed, what):
+    # both once failed inside numpy, naming no argument: the summed rows in a
+    # reshape of their sums, the S^2 binding in an einsum over the vectors
+    Y = cap_boundary_sample(1.0, 5).points
+    X = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} need one vector per sample point$"):
+        double_layer(model.field, X, Y, summed=summed)
+    assert pools == []
 
 
 @pytest.mark.parametrize("summed", [False, True])

@@ -17,7 +17,7 @@ from surfquad.riemannian import (SphereModel, assemble_riemann_system, cap_bound
 from surfquad.solver import (LOAD_TILE, QR_BLOCK, IndicatorSystem, NegativeWeightPolicy,
                              SolveDiagnostics, WeightSolution, _matvec, _tikhonov_qr,
                              _tikhonov_solve, assemble_scalar_system, assemble_vector_system,
-                             indicator_values, integrate_function, solve_weights)
+                             double_layer, indicator_values, integrate_function, solve_weights)
 
 
 def _cloud(count, dim):
@@ -49,7 +49,7 @@ def test_rhs_entries_validated():
 def test_vector_assembly_single_pair():
     q = PointCloud(np.zeros((1, 3)))
     s = PointCloud(np.array([[1.0, 0.0, 0.0]]))
-    system = assemble_vector_system(q, s, KernelConfig(3))
+    system = assemble_vector_system(q, s)
     assert system.matrix.shape == (1, 3)
     assert np.allclose(system.matrix[0], [1.0 / (4.0 * np.pi), 0.0, 0.0])
     assert system.rhs.tolist() == [1.0]
@@ -58,7 +58,7 @@ def test_vector_assembly_single_pair():
 def test_vector_assembly_shape_contract():
     sample = gen_fibonacci_sphere(50)
     queries = interior_queries(sphere_spec(), 200, seed=1)
-    system = assemble_vector_system(queries, sample.cloud, KernelConfig(3))
+    system = assemble_vector_system(queries, sample.cloud)
     assert system.matrix.shape == (200, 150)
     assert np.all(system.rhs == 1.0)
     assert system.sample is sample.cloud
@@ -67,7 +67,7 @@ def test_vector_assembly_shape_contract():
 def test_vector_rows_against_exact_elements():
     sample = gen_fibonacci_sphere(2000)
     queries = interior_queries(sphere_spec(), 50, seed=2)
-    system = assemble_vector_system(queries, sample.cloud, KernelConfig(3))
+    system = assemble_vector_system(queries, sample.cloud)
     mu_exact = (sample.points * (4.0 * np.pi / 2000)).ravel()
     values = system.matrix @ mu_exact
     assert np.max(np.abs(values - 1.0)) < 0.05
@@ -76,35 +76,51 @@ def test_vector_rows_against_exact_elements():
 def test_scalar_assembly_entry_and_flip():
     q = PointCloud(np.zeros((1, 3)))
     s = OrientedSample(PointCloud(np.array([[1.0, 0, 0]])), np.array([[1.0, 0, 0]]))
-    system = assemble_scalar_system(q, s, KernelConfig(3))
+    system = assemble_scalar_system(q, s)
     assert system.matrix[0, 0] == pytest.approx(1.0 / (4.0 * np.pi))
     assert system.rhs.tolist() == [1.0]
-    flipped = assemble_scalar_system(q, OrientedSample(s.cloud, -s.normals), KernelConfig(3))
+    flipped = assemble_scalar_system(q, OrientedSample(s.cloud, -s.normals))
     assert np.allclose(flipped.matrix, -system.matrix)
 
 
 def test_scalar_exact_elements_residual():
     sample = gen_fibonacci_sphere(1000)
     queries = interior_queries(sphere_spec(), 100, seed=3)
-    system = assemble_scalar_system(queries, sample, KernelConfig(3))
+    system = assemble_scalar_system(queries, sample)
     residual = system.matrix @ np.full(1000, 4.0 * np.pi / 1000) - system.rhs
     assert np.max(np.abs(residual)) < 0.05
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_assembly_reads_the_kernel_of_the_sample_dimension(n):
+    # the assemblers build KernelConfig(sample.dim) themselves: their rows are
+    # the double layer of that kernel, bit for bit
+    rng = np.random.default_rng(40 + n)
+    queries = PointCloud(rng.standard_normal((30, n)))
+    normals = rng.standard_normal((20, n))
+    sample = OrientedSample(PointCloud(rng.standard_normal((20, n))),
+                            normals / np.linalg.norm(normals, axis=1, keepdims=True))
+    field = KernelConfig(n).field
+    assert np.array_equal(assemble_scalar_system(queries, sample).matrix,
+                          double_layer(field, queries.points, sample.points, sample.normals))
+    assert np.array_equal(assemble_vector_system(queries, sample.cloud).matrix,
+                          double_layer(field, queries.points, sample.points))
 
 
 def test_assembly_rejects_dimension_mismatch():
     q = PointCloud(np.zeros((1, 4)))
     s = PointCloud(np.array([[1.0, 0, 0]]))
     with pytest.raises(ValueError):
-        assemble_vector_system(q, s, KernelConfig(3))
+        assemble_vector_system(q, s)
 
 
 def test_assembly_rejects_coincident_points_unsoftened():
     q = PointCloud(np.array([[1.0, 0, 0]]))
     s = PointCloud(np.array([[1.0, 0, 0], [0.0, 1, 0]]))
     with pytest.raises(SingularEvaluationError):
-        assemble_vector_system(q, s, KernelConfig(3))
+        assemble_vector_system(q, s)
     with pytest.raises(SingularEvaluationError):
-        assemble_scalar_system(q, OrientedSample(s, np.eye(3)[:2]), KernelConfig(3))
+        assemble_scalar_system(q, OrientedSample(s, np.eye(3)[:2]))
 
 
 def test_assembly_per_row_rhs():
@@ -112,7 +128,7 @@ def test_assembly_per_row_rhs():
     s = PointCloud(np.array([[1.0, 0, 0]]))
     # assembled rows are interior queries; a per-row rhs pairs with the matrix
     # in an IndicatorSystem of its own
-    system = assemble_vector_system(q, s, KernelConfig(3))
+    system = assemble_vector_system(q, s)
     assert system.rhs.tolist() == [1.0, 1.0]
     mixed = IndicatorSystem(system.matrix, np.array([1.0, 0.0]), system.sample)
     assert mixed.rhs.tolist() == [1.0, 0.0]
@@ -280,7 +296,7 @@ def test_tall_path_on_closed_sphere_at_production_lambda():
     # seed 1, 8.5e-9 and 1.6e-8 away, within 7.7e-11 and 1.4e-11
     sample = gen_fibonacci_sphere(400)
     queries = interior_queries(sphere_spec(), 800, seed=1)
-    A = assemble_scalar_system(queries, sample, KernelConfig(3)).matrix
+    A = assemble_scalar_system(queries, sample).matrix
     b = np.ones(len(A))
     lam = 1e-6 * np.max(np.abs(A))
     ref = _svd_filter_solve(A, b, lam)
@@ -456,7 +472,7 @@ def test_unregularized_least_squares_scaling_covariance():
 def test_residual_monotone_in_lambda():
     sample = gen_fibonacci_sphere(40)
     queries = interior_queries(sphere_spec(), 80, seed=12)
-    system = assemble_scalar_system(queries, sample, KernelConfig(3))
+    system = assemble_scalar_system(queries, sample)
     residuals = []
     for lam in (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
         sol = solve_weights(system, lam)
@@ -502,7 +518,7 @@ def test_columns_the_sample_does_not_have_are_refused(sample, cols, takes):
 def test_vector_mode_tau_is_mu_norm():
     sample = gen_fibonacci_sphere(30)
     queries = interior_queries(sphere_spec(), 120, seed=5)
-    system = assemble_vector_system(queries, sample.cloud, KernelConfig(3))
+    system = assemble_vector_system(queries, sample.cloud)
     sol = solve_weights(system, None)
     assert sol.mu.shape == (30, 3)
     assert np.max(np.abs(sol.tau - np.linalg.norm(sol.mu, axis=1))) < 1e-12
@@ -513,7 +529,7 @@ def test_vector_mode_tau_is_mu_norm():
 def test_auto_regularization_recorded():
     sample = gen_fibonacci_sphere(20)
     queries = interior_queries(sphere_spec(), 60, seed=9)
-    system = assemble_scalar_system(queries, sample, KernelConfig(3))
+    system = assemble_scalar_system(queries, sample)
     sol = solve_weights(system, None)
     expected = 1e-6 * np.max(np.abs(system.matrix))
     assert sol.diagnostics.regularization == pytest.approx(expected, rel=1e-12)
@@ -549,7 +565,7 @@ def test_auto_regularization_of_a_vector_system_is_its_largest_point_block():
 
 def _indicator_at(x, sample, solution):
     """indicator_values on a one-point query cloud."""
-    return indicator_values(PointCloud(x), sample.cloud, solution, KernelConfig(3))[0]
+    return indicator_values(PointCloud(x[None, :]), sample.cloud, solution, KernelConfig(3))[0]
 
 
 def test_indicator_exact_at_origin(exact_sphere_weights):

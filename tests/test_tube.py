@@ -296,11 +296,10 @@ def test_codim1_tube_matches_collar_limit():
     t = rng.uniform(-eps / 2, eps / 2, 1000)
     queries = PointCloud(d * (1.0 + t)[:, None])
 
-    from surfquad.kernel import KernelConfig
     from surfquad.solver import NegativeWeightPolicy, assemble_scalar_system, solve_weights
 
     # the tube solve with the collar's flip in place of the clamp
-    system = assemble_scalar_system(queries, tube.boundary, KernelConfig(3))
+    system = assemble_scalar_system(queries, tube.boundary)
     with pytest.warns(ClampedMassWarning, match="flipping"):
         sol = solve_weights(system, policy=NegativeWeightPolicy.FLIP)
     tube_area = integrate_codim(np.ones(1000), sol.tau, dirs)
